@@ -19,13 +19,15 @@ type t = {
   labels : (string, int) Hashtbl.t;
   mutable fixups : (int * fixup) list;  (* offset, pending patch *)
   mutable exts : Ext.t;
+  scratch : bytes;  (* encoding buffer; per buffer so domains never share it *)
 }
 
 let create () =
   { buf = Buffer.create 256;
     labels = Hashtbl.create 16;
     fixups = [];
-    exts = Ext.base }
+    exts = Ext.base;
+    scratch = Bytes.create 4 }
 
 let size t = Buffer.length t.buf
 
@@ -34,12 +36,10 @@ let note_ext t i =
   | Some e -> t.exts <- Ext.union t.exts (Ext.of_list [ e ])
   | None -> ()
 
-let scratch = Bytes.create 4
-
 let inst t i =
   note_ext t i;
-  let n = Encode.write scratch 0 i in
-  Buffer.add_subbytes t.buf scratch 0 n
+  let n = Encode.write t.scratch 0 i in
+  Buffer.add_subbytes t.buf t.scratch 0 n
 
 let insts t is = List.iter (inst t) is
 

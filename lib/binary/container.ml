@@ -32,8 +32,12 @@ let write ~path ~magic ~version v =
     Digest.bytes ctx
   in
   (* write to a temp file in the same directory and rename into place, so a
-     crash mid-write never leaves a half-written container under [path] *)
-  let tmp = path ^ ".tmp" in
+     crash mid-write never leaves a half-written container under [path];
+     the name is private to this process and domain, so concurrent writers
+     of one path never truncate or rename away each other's temp file *)
+  let tmp =
+    Printf.sprintf "%s.%d-%d.tmp" path (Unix.getpid ()) (Domain.self () :> int)
+  in
   let oc = open_out_bin tmp in
   (try
      output_bytes oc head;

@@ -17,7 +17,20 @@ exception Violation of { addr : int; access : Fault.access }
 let page_size = 4096
 let page_bits = 12
 
-type page = { data : bytes; mutable perm : perm }
+(* A mapped page starts demand-zero: [data] is the shared zero-length
+   [unfilled] sentinel until the first access that needs its bytes
+   ([tlb_fill], [unchecked_data]) swaps in a zeroed [page_size] buffer.
+   [share_range] fills a page before aliasing it, so a page that is still
+   unfilled belongs to exactly one memory and is never filled from two
+   domains. *)
+type page = { mutable data : bytes; mutable perm : perm }
+
+(* Zero-length, hence immutable and safe to share. *)
+let unfilled = Bytes.empty
+
+let materialize p =
+  if Bytes.length p.data = 0 then p.data <- Bytes.make page_size '\000';
+  p.data
 
 (* Software TLB: per access kind, a direct-mapped cache of page index ->
    page payload, so hot loads/stores/fetches skip the page hashtable (and
@@ -56,16 +69,14 @@ type t = {
   mutable tlb_misses : int;
 }
 
-let no_bytes = Bytes.create 0
-
 let create () =
   { pages = Hashtbl.create 64;
     tlb_r_tag = Array.make tlb_size (-1);
-    tlb_r_data = Array.make tlb_size no_bytes;
+    tlb_r_data = Array.make tlb_size Bytes.empty;
     tlb_w_tag = Array.make tlb_size (-1);
-    tlb_w_data = Array.make tlb_size no_bytes;
+    tlb_w_data = Array.make tlb_size Bytes.empty;
     tlb_x_tag = Array.make tlb_size (-1);
-    tlb_x_data = Array.make tlb_size no_bytes;
+    tlb_x_data = Array.make tlb_size Bytes.empty;
     tlb_epoch = Atomic.get perm_epoch;
     tlb_hits = 0;
     tlb_misses = 0 }
@@ -79,9 +90,9 @@ let flush_tlb t =
   Array.fill t.tlb_x_tag 0 tlb_size (-1);
   (* tags gate the data slots; clear them anyway so stale pages can be
      collected *)
-  Array.fill t.tlb_r_data 0 tlb_size no_bytes;
-  Array.fill t.tlb_w_data 0 tlb_size no_bytes;
-  Array.fill t.tlb_x_data 0 tlb_size no_bytes;
+  Array.fill t.tlb_r_data 0 tlb_size Bytes.empty;
+  Array.fill t.tlb_w_data 0 tlb_size Bytes.empty;
+  Array.fill t.tlb_x_data 0 tlb_size Bytes.empty;
   t.tlb_epoch <- Atomic.get perm_epoch
 
 (* TLB metrics are fed in [flush_tlb_stats], from the same per-memory
@@ -106,7 +117,7 @@ let map t ~addr ~len perm =
     if Hashtbl.mem t.pages idx then
       invalid_arg
         (Printf.sprintf "Memory.map: page 0x%x already mapped" (idx lsl page_bits));
-    Hashtbl.replace t.pages idx { data = Bytes.make page_size '\000'; perm }
+    Hashtbl.replace t.pages idx { data = unfilled; perm }
   done
 
 let set_perm t ~addr ~len perm =
@@ -140,13 +151,15 @@ let share_range ~from ~into ~addr ~len =
           invalid_arg
             (Printf.sprintf "Memory.share_range: destination page 0x%x mapped"
                (idx lsl page_bits));
+        ignore (materialize p);
         Hashtbl.replace into.pages idx p
   done
 
 let violate addr access = raise (Violation { addr; access })
 
 (* TLB miss: lazily flush on an epoch change, then probe the page table and
-   re-run the permission check; only a successful access is cached. *)
+   re-run the permission check; only a successful access is cached, and
+   only once the page's bytes exist. *)
 let tlb_fill t tag data slot pg addr access =
   if t.tlb_epoch <> Atomic.get perm_epoch then flush_tlb t;
   t.tlb_misses <- t.tlb_misses + 1;
@@ -160,9 +173,10 @@ let tlb_fill t tag data slot pg addr access =
         | Fault.Execute -> p.perm.x
       in
       if not ok then violate addr access;
+      let bytes = materialize p in
       Array.unsafe_set tag slot pg;
-      Array.unsafe_set data slot p.data;
-      p.data
+      Array.unsafe_set data slot bytes;
+      bytes
 
 let tlb_get t tag data addr access =
   let pg = addr lsr page_bits in
@@ -213,15 +227,15 @@ let reset_observed_tlb () =
   Atomic.set g_tlb_hits 0;
   Atomic.set g_tlb_misses 0
 
-let unchecked_page t addr =
+(* Payload of the page containing [addr] for the unchecked accessors. *)
+let unchecked_data t addr =
   match Hashtbl.find_opt t.pages (page_index addr) with
   | None ->
       (* Kernel accessors allocate on demand so loaders can poke anywhere. *)
-      let p = { data = Bytes.make page_size '\000'; perm = perm_none } in
-      Hashtbl.replace t.pages (page_index addr) p;
-      p
-
-  | Some p -> p
+      let data = Bytes.make page_size '\000' in
+      Hashtbl.replace t.pages (page_index addr) { data; perm = perm_none };
+      data
+  | Some p -> materialize p
 
 (* Fast path: access within one page; slow path crosses a boundary. *)
 
@@ -299,7 +313,7 @@ let fetch_u16 t addr =
   if off + 2 <= page_size then Bytes.get_uint16_le (exec_data t addr) off
   else Int64.to_int (load_multi t addr 2 Fault.Execute)
 
-let peek_u8 t addr = Bytes.get_uint8 (unchecked_page t addr).data (page_offset addr)
+let peek_u8 t addr = Bytes.get_uint8 (unchecked_data t addr) (page_offset addr)
 
 let peek_u16 t addr = peek_u8 t addr lor (peek_u8 t (addr + 1) lsl 8)
 
@@ -311,7 +325,7 @@ let peek_u64 t addr =
     (Int64.shift_left (Int64.of_int (peek_u32 t (addr + 4))) 32)
 
 let poke_u8 t addr v =
-  Bytes.set_uint8 (unchecked_page t addr).data (page_offset addr) (v land 0xFF)
+  Bytes.set_uint8 (unchecked_data t addr) (page_offset addr) (v land 0xFF)
 
 let poke_u16 t addr v =
   poke_u8 t addr v;
@@ -325,22 +339,28 @@ let poke_u64 t addr v =
   poke_u32 t addr (Int64.to_int (Int64.logand v 0xFFFFFFFFL));
   poke_u32 t (addr + 4) (Int64.to_int (Int64.shift_right_logical v 32))
 
-let poke_bytes t addr b =
-  Bytes.iteri (fun i c -> poke_u8 t (addr + i) (Char.code c)) b
-
-(* Page-wise blit rather than a byte loop: the per-byte path pays one page
-   lookup per byte, which whole-image consumers (content digests, snapshot
-   dumps) cannot afford. *)
-let peek_bytes t addr len =
-  let out = Bytes.create len in
+(* [poke_bytes]/[peek_bytes] blit page by page rather than loop over
+   bytes: the per-byte path pays one page lookup per byte, which image
+   loads, lazy-rewrite patches and whole-image consumers (content digests,
+   snapshot dumps) cannot afford. [iter_pages] visits the pages of
+   [addr, addr+len) in ascending order; [f data off i n] covers bytes
+   [i, i+n) of the range, found at [off] in the page payload [data]. *)
+let iter_pages t addr len f =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
     let off = page_offset a in
     let n = min (len - !i) (page_size - off) in
-    Bytes.blit (unchecked_page t a).data off out !i n;
+    f (unchecked_data t a) off !i n;
     i := !i + n
-  done;
+  done
+
+let poke_bytes t addr b =
+  iter_pages t addr (Bytes.length b) (fun data off i n -> Bytes.blit b i data off n)
+
+let peek_bytes t addr len =
+  let out = Bytes.create len in
+  iter_pages t addr len (fun data off i n -> Bytes.blit data off out i n);
   out
 
 let mapped_ranges t =

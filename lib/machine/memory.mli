@@ -1,8 +1,12 @@
 (** Sparse paged memory with per-page R/W/X permissions.
 
-    Pages are 4 KiB and allocated lazily, so address-space layouts with large
-    gaps (the congruence-constrained Chimera target sections live far from
-    the text) cost nothing. Permissions are enforced on the checked accessors
+    Pages are 4 KiB and allocated lazily at two levels: the page table only
+    holds pages that were mapped (or poked), so address-space layouts with
+    large gaps (the congruence-constrained Chimera target sections live far
+    from the text) cost nothing; and a mapped page is demand-zero, its 4 KiB
+    of bytes allocated on the first access that needs them, so a mostly
+    untouched region such as the 1 MiB guest stack costs one table entry per
+    page. Permissions are enforced on the checked accessors
     ([load_*]/[store_*]/[fetch_u16]); the [peek_*]/[poke_*] accessors bypass
     them and model kernel/loader access.
 
@@ -41,7 +45,9 @@ val page_bits : int
 (** [page_size = 1 lsl page_bits]. *)
 
 val map : t -> addr:int -> len:int -> perm -> unit
-(** Allocate zero-filled pages covering [addr, addr+len).
+(** Map demand-zero pages covering [addr, addr+len): each page reads as
+    zeros, and its bytes are allocated on first touch by any accessor.
+    Mapping, permissions and faults are those of a zero-filled page.
     @raise Invalid_argument if a covered page is already mapped. *)
 
 val set_perm : t -> addr:int -> len:int -> perm -> unit
@@ -55,7 +61,8 @@ val is_mapped : t -> int -> bool
 
 val share_range : from:t -> into:t -> addr:int -> len:int -> unit
 (** Alias the pages of [from] covering the range into [into]: both memories
-    then see the same bytes (and permissions).
+    then see the same bytes (and permissions). Demand-zero source pages are
+    filled first, so no page is ever filled through two memories.
     @raise Invalid_argument if a source page is unmapped or a destination
     page already mapped. *)
 
@@ -104,7 +111,12 @@ val poke_u16 : t -> int -> int -> unit
 val poke_u32 : t -> int -> int -> unit
 val poke_u64 : t -> int -> int64 -> unit
 val poke_bytes : t -> int -> bytes -> unit
+(** Copy bytes in, one blit per page, in ascending address order; the
+    result equals a [poke_u8] per byte. Like every unchecked accessor it
+    maps an unmapped page on demand with {!perm_none}. *)
+
 val peek_bytes : t -> int -> int -> bytes
+(** Copy bytes out, one blit per page. *)
 
 val mapped_ranges : t -> (int * int) list
 (** Sorted [(addr, len)] list of maximal mapped runs (diagnostics). *)

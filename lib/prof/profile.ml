@@ -278,8 +278,6 @@ let block_dispatch t row ~executed ~retired ~cycles ~tlb ~icache ~fault
     transition t ~cls:row.r_term ~target;
   t.cur_row <- None
 
-let no_classes = Bytes.create 0
-
 let step_begin t ~pc ~cls =
   let row =
     match t.cur_row with
@@ -294,7 +292,7 @@ let step_begin t ~pc ~cls =
         let r =
           match Hashtbl.find_opt t.rows pc with
           | Some r -> r
-          | None -> new_row t ~entry:pc ~classes:no_classes ~term:(-1)
+          | None -> new_row t ~entry:pc ~classes:Bytes.empty ~term:(-1)
         in
         r.r_hits <- r.r_hits + 1;
         r

@@ -4,6 +4,11 @@ cd "$(dirname "$0")/.."
 dune build
 dune runtest
 
+# Top-level mutable state in lib/ must be on the reviewed allowlist
+# (scripts/globals.allow): bench cells and serve workers run library code
+# on parallel domains, so an unreviewed global is a latent data race.
+sh scripts/lint-globals.sh
+
 # Documentation build (odoc is optional in the minimal toolchain image).
 if command -v odoc >/dev/null 2>&1; then
   dune build @doc

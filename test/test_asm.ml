@@ -199,6 +199,43 @@ let test_vanilla_jump_abs () =
   Asm.insts a (exit_seq 3);
   expect_exit (Asm.assemble a) 3
 
+(* --- concurrent encoding ------------------------------------------------- *)
+
+let test_codebuf_concurrent_encoding () =
+  (* Rewriters encode on parallel domains (bench cells, serve workers).
+     Each domain encodes its own stream many times; every result must be
+     byte-identical to the same stream encoded alone on one domain, so no
+     encoding state may be shared between buffers. *)
+  let n_domains = 4 and rounds = 40 and len = 2000 in
+  let stream d =
+    let rng = Random.State.make [| d |] in
+    List.init len (fun _ ->
+        let rd = Reg.of_int (5 + d) and rs = Reg.of_int (1 + Random.State.int rng 31) in
+        match Random.State.int rng 3 with
+        | 0 -> Inst.Opi (Inst.Addi, rd, rs, Random.State.int rng 2048 - 1024)
+        | 1 -> Inst.Op (Inst.Xor, rd, rs, Reg.of_int (16 + d))
+        | _ -> Inst.Lui (rd, Random.State.int rng 0x80000))
+  in
+  let encode is =
+    let cb = Codebuf.create () in
+    Codebuf.insts cb is;
+    Codebuf.link cb ~base:0x10000 ~resolve:(fun _ -> None)
+  in
+  let streams = List.init n_domains stream in
+  let expected = List.map encode streams in
+  let worker is want () =
+    let bad = ref 0 in
+    for _ = 1 to rounds do
+      if not (Bytes.equal (encode is) want) then incr bad
+    done;
+    !bad
+  in
+  let doms =
+    List.map2 (fun is want -> Domain.spawn (worker is want)) streams expected
+  in
+  let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 doms in
+  Alcotest.(check int) "corrupt encodings" 0 bad
+
 let () =
   Alcotest.run "riscv_asm"
     [ ("programs",
@@ -209,7 +246,9 @@ let () =
          Alcotest.test_case "compressed branches" `Quick test_compressed_branches;
          Alcotest.test_case "gp-relative data" `Quick test_gp_relative_access;
          Alcotest.test_case "far jump" `Quick test_vanilla_jump_abs;
-         Alcotest.test_case "data bytes" `Quick test_data_byte_emission ]);
+         Alcotest.test_case "data bytes" `Quick test_data_byte_emission;
+         Alcotest.test_case "concurrent codebuf encoding" `Quick
+           test_codebuf_concurrent_encoding ]);
       ("binfile",
        [ Alcotest.test_case "symbols and sizes" `Quick test_symbols_and_sizes;
          Alcotest.test_case "hidden functions" `Quick test_hidden_func_not_in_symbols;

@@ -345,6 +345,20 @@ let test_corruption_falls_back_cold () =
   | Ok _ -> ignore (Cache.clear c)
   | Error r -> Alcotest.failf "restored entry rejected: %s" r
 
+let test_concurrent_writers () =
+  (* serve workers that miss on one digest store it at the same moment:
+     every write must land, and the entry must read back whole *)
+  let path = Filename.concat (Cache.dir (temp_cache ())) "entry.plan" in
+  let worker d () =
+    for i = 1 to 50 do
+      Container.write ~path ~magic:"CHIMTEST" ~version:1 (d, i)
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun d -> Domain.spawn (worker d)));
+  match Container.read ~path ~magic:"CHIMTEST" ~version:1 with
+  | Ok ((_ : int), i) -> Alcotest.(check int) "a last write" 50 i
+  | Error r -> Alcotest.failf "entry unreadable: %s" r
+
 let () =
   Alcotest.run "chimera_cache"
     [ ( "cold-warm",
@@ -354,4 +368,6 @@ let () =
             test_smc_unreachable ] );
       ( "corruption",
         [ Alcotest.test_case "every damage mode falls back cold" `Quick
-            test_corruption_falls_back_cold ] ) ]
+            test_corruption_falls_back_cold;
+          Alcotest.test_case "concurrent writers of one entry" `Quick
+            test_concurrent_writers ] ) ]

@@ -52,27 +52,85 @@ let test_memory_rw () =
   Alcotest.(check int64) "cross-page" 0xAABBCCDD11223344L (Memory.load_u64 mem 0x1FFC)
 
 let test_memory_violations () =
+  (* every page is still untouched (demand-zero) when it first faults *)
   let mem = Memory.create () in
   Memory.map mem ~addr:0x1000 ~len:4096 Memory.perm_r;
+  Memory.map mem ~addr:0x2000 ~len:4096 Memory.perm_rx;
+  Memory.map mem ~addr:0x3000 ~len:4096 Memory.perm_rw;
   (match Memory.store_u8 mem 0x1000 1 with
-  | exception Memory.Violation { access = Fault.Write; _ } -> ()
+  | exception Memory.Violation { addr = 0x1000; access = Fault.Write } -> ()
   | _ -> Alcotest.fail "expected write violation");
   (match Memory.fetch_u16 mem 0x1000 with
-  | exception Memory.Violation { access = Fault.Execute; _ } -> ()
+  | exception Memory.Violation { addr = 0x1000; access = Fault.Execute } -> ()
   | _ -> Alcotest.fail "expected execute violation");
+  (match Memory.store_u8 mem 0x2010 1 with
+  | exception Memory.Violation { addr = 0x2010; access = Fault.Write } -> ()
+  | _ -> Alcotest.fail "expected write violation on rx");
+  (match Memory.fetch_u16 mem 0x3010 with
+  | exception Memory.Violation { addr = 0x3010; access = Fault.Execute } -> ()
+  | _ -> Alcotest.fail "expected execute violation on rw");
   (match Memory.load_u8 mem 0x9000 with
   | exception Memory.Violation { access = Fault.Read; _ } -> ()
   | _ -> Alcotest.fail "expected unmapped read violation");
-  Alcotest.(check int) "read ok" 0 (Memory.load_u8 mem 0x1000)
+  Alcotest.(check int) "read ok" 0 (Memory.load_u8 mem 0x1000);
+  Alcotest.(check int) "faulting store wrote nothing" 0 (Memory.peek_u8 mem 0x2010)
 
 let test_memory_share () =
+  (* both pages are shared before anything touches them; the first page is
+     first written through the source, the second through the destination *)
   let a = Memory.create () and b = Memory.create () in
-  Memory.map a ~addr:0x2000 ~len:4096 Memory.perm_rw;
-  Memory.share_range ~from:a ~into:b ~addr:0x2000 ~len:4096;
+  Memory.map a ~addr:0x2000 ~len:8192 Memory.perm_rw;
+  Memory.share_range ~from:a ~into:b ~addr:0x2000 ~len:8192;
   Memory.store_u32 a 0x2000 42;
   Alcotest.(check int) "shared bytes" 42 (Memory.load_u32 b 0x2000);
   Memory.store_u32 b 0x2004 7;
-  Alcotest.(check int) "shared back" 7 (Memory.load_u32 a 0x2004)
+  Alcotest.(check int) "shared back" 7 (Memory.load_u32 a 0x2004);
+  Memory.store_u32 b 0x3000 9;
+  Alcotest.(check int) "untouched page, b to a" 9 (Memory.load_u32 a 0x3000);
+  Memory.poke_u32 a 0x3004 11;
+  Alcotest.(check int) "untouched page, a to b" 11 (Memory.load_u32 b 0x3004);
+  Alcotest.(check int) "peek through b" 9 (Memory.peek_u32 b 0x3000)
+
+let test_memory_demand_zero () =
+  (* a mapped, never-touched page reads zero through every accessor; each
+     accessor gets a fresh memory so it is the first to touch the pages,
+     and the probes straddle the page boundary *)
+  let fresh () =
+    let mem = Memory.create () in
+    Memory.map mem ~addr:0x1000 ~len:8192 Memory.perm_rw;
+    mem
+  in
+  Alcotest.(check int) "load_u8" 0 (Memory.load_u8 (fresh ()) 0x1FFF);
+  Alcotest.(check int) "load_u16" 0 (Memory.load_u16 (fresh ()) 0x1FFF);
+  Alcotest.(check int) "load_u32" 0 (Memory.load_u32 (fresh ()) 0x1FFE);
+  Alcotest.(check int64) "load_u64" 0L (Memory.load_u64 (fresh ()) 0x1FFC);
+  Alcotest.(check int) "peek_u8" 0 (Memory.peek_u8 (fresh ()) 0x1FFF);
+  Alcotest.(check int) "peek_u16" 0 (Memory.peek_u16 (fresh ()) 0x1FFF);
+  Alcotest.(check int) "peek_u32" 0 (Memory.peek_u32 (fresh ()) 0x1FFE);
+  Alcotest.(check int64) "peek_u64" 0L (Memory.peek_u64 (fresh ()) 0x1FFC);
+  let mem = fresh () in
+  Alcotest.(check bool) "peek_bytes" true
+    (Bytes.equal (Memory.peek_bytes mem 0x1000 8192) (Bytes.make 8192 '\000'));
+  Alcotest.(check (list (pair int int)))
+    "first touch keeps the mapping" [ (0x1000, 8192) ] (Memory.mapped_ranges mem);
+  Alcotest.(check bool) "first touch keeps the permission" true
+    (Memory.perm_at mem 0x2000 = Some Memory.perm_rw)
+
+let test_untouched_rx_store_segfault () =
+  (* a store to a mapped, never-touched rx page: deterministic segfault at
+     the store's pc and address (the fetch counterpart, into the untouched
+     data page, is [test_nx_fetch_segfault]) *)
+  let m =
+    setup
+      [ Inst.Lui (Reg.t0, 0x20);
+        Inst.Store { width = Inst.D; rs2 = Reg.a0; rs1 = Reg.t0; imm = 8 } ]
+  in
+  Memory.map (Machine.mem m) ~addr:0x20000 ~len:4096 Memory.perm_rx;
+  match Machine.run ~fuel:100 m with
+  | Machine.Faulted (Fault.Segfault { access = Fault.Write; addr; pc }) ->
+      Alcotest.(check int) "fault addr" 0x20008 addr;
+      Alcotest.(check int) "pc at fault" (text_base + 4) pc
+  | _ -> Alcotest.fail "store to an untouched rx page must segfault"
 
 let test_mapped_ranges () =
   let mem = Memory.create () in
@@ -486,20 +544,28 @@ let test_switch_view_isolates_code () =
 
 let test_tlb_perm_downgrade () =
   (* a permission downgrade must fault on the very next access, even though
-     the preceding accesses warmed the TLB for the page *)
+     the preceding accesses warmed the TLB for the page; the downgrade also
+     covers a second page nothing has touched yet *)
   let mem = Memory.create () in
-  Memory.map mem ~addr:0x5000 ~len:4096 Memory.perm_rw;
+  Memory.map mem ~addr:0x5000 ~len:8192 Memory.perm_rw;
   Memory.store_u8 mem 0x5000 1;
   Alcotest.(check int) "warm read" 1 (Memory.load_u8 mem 0x5000);
-  Memory.set_perm mem ~addr:0x5000 ~len:4096 Memory.perm_r;
+  Memory.set_perm mem ~addr:0x5000 ~len:8192 Memory.perm_r;
   (match Memory.store_u8 mem 0x5000 2 with
   | exception Memory.Violation { access = Fault.Write; _ } -> ()
   | () -> Alcotest.fail "downgrade must fault through a warm TLB");
+  (match Memory.store_u8 mem 0x6000 2 with
+  | exception Memory.Violation { addr = 0x6000; access = Fault.Write } -> ()
+  | () -> Alcotest.fail "downgrade must fault on an untouched page");
   Alcotest.(check int) "read still allowed" 1 (Memory.load_u8 mem 0x5000);
-  Memory.set_perm mem ~addr:0x5000 ~len:4096 Memory.perm_none;
-  match Memory.load_u8 mem 0x5000 with
+  Alcotest.(check int) "untouched read allowed" 0 (Memory.load_u8 mem 0x6000);
+  Memory.set_perm mem ~addr:0x5000 ~len:8192 Memory.perm_none;
+  (match Memory.load_u8 mem 0x5000 with
   | exception Memory.Violation { access = Fault.Read; _ } -> ()
-  | _ -> Alcotest.fail "perm_none must fault reads through a warm TLB"
+  | _ -> Alcotest.fail "perm_none must fault reads through a warm TLB");
+  match Memory.load_u8 mem 0x6000 with
+  | exception Memory.Violation { addr = 0x6000; access = Fault.Read } -> ()
+  | _ -> Alcotest.fail "perm_none must fault reads of the once-untouched page"
 
 let test_tlb_shared_page_downgrade () =
   (* pages are aliased across memories ([share_range]); a downgrade through
@@ -789,6 +855,7 @@ let () =
        [ Alcotest.test_case "read/write widths" `Quick test_memory_rw;
          Alcotest.test_case "violations" `Quick test_memory_violations;
          Alcotest.test_case "page sharing" `Quick test_memory_share;
+         Alcotest.test_case "demand-zero reads" `Quick test_memory_demand_zero;
          Alcotest.test_case "mapped ranges" `Quick test_mapped_ranges ]);
       ("semantics",
        [ Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -804,6 +871,8 @@ let () =
            test_compressed_memory_and_lui ]);
       ("faults",
        [ Alcotest.test_case "NX fetch segfault" `Quick test_nx_fetch_segfault;
+         Alcotest.test_case "untouched rx store segfault" `Quick
+           test_untouched_rx_store_segfault;
          Alcotest.test_case "unsupported extension" `Quick
            test_unsupported_extension_fault;
          Alcotest.test_case "misaligned without C" `Quick

@@ -98,6 +98,9 @@ let prop_codebuf_branch_web =
 (* --- Memory ---------------------------------------------------------------- *)
 
 let prop_memory_roundtrip =
+  (* [probe] first reads the fresh (demand-zero) mapping, so the read TLB
+     is filled before the store goes through the write TLB: both must end
+     up on the same page bytes *)
   QCheck.Test.make ~name:"memory: load (store v) = v at any width/offset" ~count:500
     QCheck.(
       make
@@ -105,10 +108,13 @@ let prop_memory_roundtrip =
           let* off = int_range 0 8190 in
           let* v = map Int64.of_int (int_range 0 max_int) in
           let* w = int_range 0 3 in
-          return (off, v, w)))
-    (fun (off, v, w) ->
+          let* probe = int_range 0 8191 in
+          return (off, v, w, probe)))
+    (fun (off, v, w, probe) ->
       let mem = Memory.create () in
       Memory.map mem ~addr:0x1000 ~len:(2 * 4096) Memory.perm_rw;
+      Memory.load_u8 mem (0x1000 + probe) = 0
+      &&
       let addr = 0x1000 + off in
       match w with
       | 0 ->
@@ -126,6 +132,50 @@ let prop_memory_roundtrip =
             Memory.store_u64 mem addr v;
             Int64.equal (Memory.load_u64 mem addr) v
           end)
+
+let prop_poke_bytes_pagewise =
+  (* the page-wise blit behaves exactly like the per-byte loop it replaced:
+     same bytes, same mapping, and pages the range runs into that were
+     never mapped come back mapped [perm_none] *)
+  let base = 0x10000 and pages = 6 in
+  QCheck.Test.make ~name:"memory: poke_bytes = per-byte poke_u8 loop" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (int_range 0 ((pages - 1) * 4096))
+            (int_range 0 (3 * 4096))
+            (int_bound ((1 lsl pages) - 1))))
+    (fun (off, len, mapped) ->
+      let perm_of pg = if pg mod 2 = 0 then Memory.perm_rx else Memory.perm_rw in
+      let mk () =
+        let mem = Memory.create () in
+        for pg = 0 to pages - 1 do
+          if mapped land (1 lsl pg) <> 0 then
+            Memory.map mem ~addr:(base + (pg * 4096)) ~len:4096 (perm_of pg)
+        done;
+        mem
+      in
+      let a = mk () and b = mk () in
+      let data = Bytes.init len (fun i -> Char.chr (((i * 7) + off) land 0xFF)) in
+      Memory.poke_bytes a (base + off) data;
+      Bytes.iteri (fun i c -> Memory.poke_u8 b (base + off + i) (Char.code c)) data;
+      let span = (pages + 3) * 4096 in
+      let expected_perm pg =
+        let lo = base + (pg * 4096) in
+        if pg < pages && mapped land (1 lsl pg) <> 0 then Some (perm_of pg)
+        else if len > 0 && lo < base + off + len && base + off < lo + 4096 then
+          Some Memory.perm_none
+        else None
+      in
+      Memory.mapped_ranges a = Memory.mapped_ranges b
+      && List.for_all
+           (fun pg ->
+             let addr = base + (pg * 4096) in
+             Memory.perm_at a addr = expected_perm pg
+             && Memory.perm_at b addr = expected_perm pg)
+           (List.init (pages + 3) Fun.id)
+      && Bytes.equal (Memory.peek_bytes a base span) (Memory.peek_bytes b base span))
 
 (* --- packed SIMD semantics vs reference model ------------------------------ *)
 
@@ -786,7 +836,9 @@ let () =
        List.map QCheck_alcotest.to_alcotest
          [ prop_smile_next_target; prop_smile_write_decodes ]);
       ("codebuf", [ QCheck_alcotest.to_alcotest prop_codebuf_branch_web ]);
-      ("memory", [ QCheck_alcotest.to_alcotest prop_memory_roundtrip ]);
+      ("memory",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_memory_roundtrip; prop_poke_bytes_pagewise ]);
       ("packed-simd", [ QCheck_alcotest.to_alcotest prop_p_semantics ]);
       ("upgrade", [ QCheck_alcotest.to_alcotest prop_upgrade_equivalence ]);
       ("redirects",
