@@ -1872,8 +1872,8 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
      allocation is, and plan serialization (Marshal + page digests) swamps
      the per-instruction signal. The budget only describes the optimized
      default path: the single-step interpreter allocates per instruction by
-     design (~32 words/inst), [--no-ir] reintroduces the boxed-Int64
-     arithmetic the IR exists to kill, and the tiering/IC ablations sit
+     design (~32 words/inst), [--no-ir] drops the constant folding that
+     removes most boxed-Int64 arithmetic, and the tiering/IC ablations sit
      right at the limit (uncached indirect dispatch allocates a little per
      call), so only the default configuration is checked. *)
   if
@@ -1927,12 +1927,13 @@ let no_ir_arg =
     value & flag
     & info [ "no-ir" ]
         ~doc:
-          "Disable the linear-IR translation pipeline for every machine the \
-           benchmarks create: each instruction compiles to its direct legacy \
-           closure with no constant folding, dead-write elimination or \
-           memory-pattern fusion. Ablation knob — simulated counters are \
-           identical either way, so the wall-clock delta against a default \
-           run is the IR win in isolation.")
+          "Disable the IR passes for every machine the benchmarks create: \
+           each instruction is still lowered and emitted through the same \
+           code generator, but as its own unit, with no constant folding, \
+           dead-write elimination or memory-pattern fusion. Ablation knob — \
+           simulated counters are identical either way, so the wall-clock \
+           delta against a default run is the win of the passes in \
+           isolation.")
 
 let no_tier_arg =
   Arg.(

@@ -24,12 +24,12 @@ type view = {
 }
 
 (* One recorded translation-callback decision, in program order. [Slower]
-   carries the very op record the translation's closures captured — its
-   [k] field holds the post-optimize kind by the time the block is
+   carries the very op record an optimized translation's closures captured
+   — its [k] field holds the post-optimize kind by the time the block is
    exported, so replaying the sequence through the emitter (skipping
    [Tir.optimize]) reconstructs the same execution units. [Scompile] marks
-   an instruction the IR declined (routed to [compile_op]); replay
-   recompiles it from the decoded instruction, which is deterministic. *)
+   every other instruction (in an unoptimized block, all of them); replay
+   re-derives it from the decoded instruction, which is deterministic. *)
 and step = Slower of Tir.op | Scompile
 
 and skel = {
@@ -422,9 +422,10 @@ let invalidate_code t ~addr ~len =
 
 let enable_icache ?sets ?line t =
   t.icache <- Some (Icache.create ?sets ?line ());
-  (* cached blocks may contain multi-instruction IR units, which bypass the
-     dispatch loop's per-fetch accounting; drop them so retranslation
-     produces the per-instruction shape the icache model needs *)
+  (* cached blocks may contain multi-instruction IR units, which would
+     bypass the dispatch loop's per-fetch accounting; drop them so
+     retranslation emits one unit per instruction ([use_ir] is false under
+     the model) *)
   List.iter (fun v -> Hashtbl.reset v.blocks) t.views
 
 let icache_misses t =
@@ -991,7 +992,10 @@ let relayout_of t pc =
   in
   match t.relayout with [] -> None | l -> go l
 
-(* Compile one instruction for the fast path. Event instructions and
+(* Compile one instruction the IR does not lower: control flow, block
+   terminators and the interpreter fallback. Straight-line instructions
+   never reach here unless the IR declined them ({!lower_op}); they are
+   emitted through {!emit_effect} at every tier. Event instructions and
    indirect/linking control flow terminate the block (they stay decoded and
    run through {!step_decoded}, so handler delivery and fault pcs are
    identical to the slow path). Direct jumps that do not link ra and
@@ -1002,11 +1006,10 @@ let relayout_of t pc =
    machine states as the step engine. Anything the current capability set
    cannot execute stops the block so the slow path raises the precise
    illegal-instruction fault. Every compiled closure replicates [exec]
-   exactly and then retires, with operands partially evaluated at
-   translation time.
+   exactly and then retires.
 
-   pc is maintained lazily: straight-line closures that cannot fault do
-   not write [t.pc] at all; fault-capable closures (memory accesses, the
+   pc is maintained lazily: straight-line units that cannot fault do not
+   write [t.pc] at all; fault-capable ones (memory accesses, the
    interpreter fallback) set their own pc first so a raised fault reports
    the exact faulting instruction; control transfers write their target.
    [run_blocks] re-synchronizes pc at every dispatch end (terminator pc,
@@ -1266,206 +1269,21 @@ let compile_op t ~pc inst size =
                   end)
       end
   | _ ->
+      (* IR-declined straight-line instructions (vector / packed-SIMD)
+         reuse the interpreter dispatch; they can only produce [Enone] —
+         events all terminate blocks *)
       if not (Ext.supports t.isa inst) then Tblock.Stop
       else
         let retire =
           if Ext.required inst = Some Ext.V then retire_vector else retire_scalar
         in
-        let op =
-          match inst with
-          | Inst.Lui (rd, imm20) ->
-              let v = Int64.of_int (imm20 lsl 12) in
-              fun t ->
-                set_reg t rd v
-          | Inst.Auipc (rd, imm20) ->
-              let v = Int64.of_int (pc + (imm20 lsl 12)) in
-              fun t ->
-                set_reg t rd v
-          | Inst.Load { width; unsigned; rd; rs1; imm } -> (
-              (* width/signedness are static: pick the accessor here so the
-                 closure runs no per-execution dispatch *)
-              let im = Int64.of_int imm in
-              match (width, unsigned) with
-              | Inst.D, _ ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    set_reg t rd (Memory.load_u64 t.cur.vmem addr)
-              | Inst.W, false ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    set_reg t rd
-                      (sext32 (Int64.of_int (Memory.load_u32 t.cur.vmem addr)))
-              | Inst.B, true ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr))
-              | _ ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    set_reg t rd (load_value t.cur.vmem width unsigned addr))
-          | Inst.Store { width; rs2; rs1; imm } -> (
-              let im = Int64.of_int imm in
-              match width with
-              | Inst.D ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    Memory.store_u64 t.cur.vmem addr (get_reg t rs2)
-              | Inst.W ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    Memory.store_u32 t.cur.vmem addr
-                      (Int64.to_int (Int64.logand (get_reg t rs2) 0xFFFFFFFFL))
-              | _ ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    store_value t.cur.vmem width addr (get_reg t rs2))
-          | Inst.Op (op, rd, rs1, rs2) -> (
-              (* the hottest ALU ops get dedicated closures (no jump through
-                 [alu]'s dispatch table); the long tail shares one *)
-              match op with
-              | Inst.Add ->
-                  fun t ->
-                    set_reg t rd (Int64.add (get_reg t rs1) (get_reg t rs2))
-              | Inst.Sub ->
-                  fun t ->
-                    set_reg t rd (Int64.sub (get_reg t rs1) (get_reg t rs2))
-              | Inst.And ->
-                  fun t ->
-                    set_reg t rd (Int64.logand (get_reg t rs1) (get_reg t rs2))
-              | Inst.Or ->
-                  fun t ->
-                    set_reg t rd (Int64.logor (get_reg t rs1) (get_reg t rs2))
-              | Inst.Xor ->
-                  fun t ->
-                    set_reg t rd (Int64.logxor (get_reg t rs1) (get_reg t rs2))
-              | Inst.Addw ->
-                  fun t ->
-                    set_reg t rd
-                      (sext32 (Int64.add (get_reg t rs1) (get_reg t rs2)))
-              | Inst.Mul ->
-                  fun t ->
-                    set_reg t rd (Int64.mul (get_reg t rs1) (get_reg t rs2))
-              | _ ->
-                  fun t ->
-                    set_reg t rd (alu op (get_reg t rs1) (get_reg t rs2)))
-          | Inst.Opi (Inst.Addi, rd, rs1, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (Int64.add (get_reg t rs1) im)
-          | Inst.Opi (Inst.Andi, rd, rs1, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (Int64.logand (get_reg t rs1) im)
-          | Inst.Opi (Inst.Slli, rd, rs1, imm) ->
-              let sh = imm land 63 in
-              fun t ->
-                set_reg t rd (Int64.shift_left (get_reg t rs1) sh)
-          | Inst.Opi (Inst.Srli, rd, rs1, imm) ->
-              let sh = imm land 63 in
-              fun t ->
-                set_reg t rd (Int64.shift_right_logical (get_reg t rs1) sh)
-          | Inst.Opi (Inst.Addiw, rd, rs1, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (sext32 (Int64.add (get_reg t rs1) im))
-          | Inst.Opi (op, rd, rs1, imm) ->
-              fun t ->
-                set_reg t rd (alui op (get_reg t rs1) imm)
-          | Inst.C_nop ->
-              fun _ -> ()
-          | Inst.C_addi (rd, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (Int64.add (get_reg t rd) im)
-          | Inst.C_li (rd, imm) ->
-              let v = Int64.of_int imm in
-              fun t ->
-                set_reg t rd v
-          | Inst.C_mv (rd, rs2) ->
-              fun t ->
-                set_reg t rd (get_reg t rs2)
-          | Inst.C_add (rd, rs2) ->
-              fun t ->
-                set_reg t rd (Int64.add (get_reg t rd) (get_reg t rs2))
-          | Inst.C_ld (rd, rs1, uimm) ->
-              let im = Int64.of_int uimm in
-              fun t ->
-                t.pc <- pc;
-                let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                set_reg t rd (Memory.load_u64 t.cur.vmem addr)
-          | Inst.C_sd (rs2, rs1, uimm) ->
-              let im = Int64.of_int uimm in
-              fun t ->
-                t.pc <- pc;
-                let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                Memory.store_u64 t.cur.vmem addr (get_reg t rs2)
-          | Inst.C_slli (rd, sh) ->
-              fun t ->
-                set_reg t rd (Int64.shift_left (get_reg t rd) sh)
-          | Inst.C_lw (rd, rs1, uimm) ->
-              let im = Int64.of_int uimm in
-              fun t ->
-                t.pc <- pc;
-                let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                set_reg t rd (sext32 (Int64.of_int (Memory.load_u32 t.cur.vmem addr)))
-          | Inst.C_sw (rs2, rs1, uimm) ->
-              let im = Int64.of_int uimm in
-              fun t ->
-                t.pc <- pc;
-                let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                Memory.store_u32 t.cur.vmem addr
-                  (Int64.to_int (Int64.logand (get_reg t rs2) 0xFFFFFFFFL))
-          | Inst.C_lui (rd, imm) ->
-              let v = Int64.of_int (imm lsl 12) in
-              fun t ->
-                set_reg t rd v
-          | Inst.C_addiw (rd, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (sext32 (Int64.add (get_reg t rd) im))
-          | Inst.C_andi (rd, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (Int64.logand (get_reg t rd) im)
-          | Inst.C_alu (op, rd, rs2) ->
-              fun t ->
-                let a = get_reg t rd and b = get_reg t rs2 in
-                set_reg t rd
-                  (match op with
-                  | Inst.Csub -> Int64.sub a b
-                  | Inst.Cxor -> Int64.logxor a b
-                  | Inst.Cor -> Int64.logor a b
-                  | Inst.Cand -> Int64.logand a b
-                  | Inst.Csubw -> sext32 (Int64.sub a b)
-                  | Inst.Caddw -> sext32 (Int64.add a b))
-          | _ ->
-              (* vector / packed-SIMD and other rare straight-line
-                 instructions: reuse the interpreter dispatch (they can
-                 only produce [Enone] — events all terminate blocks). *)
-              fun t ->
-                t.pc <- pc;
-                (match exec t inst size with
-                | Enone -> ()
-                | Eebreak _ | Eecall | Echeck _ -> assert false);
-                retire t
-        in
-        (* every named arm above leaves the retired counter to the
-           dispatch loop; only the interpreter fallback retires itself *)
-        match inst with
-        | Inst.Lui _ | Inst.Auipc _ | Inst.Load _ | Inst.Store _ | Inst.Op _
-        | Inst.Opi _ | Inst.C_nop | Inst.C_addi _ | Inst.C_li _ | Inst.C_mv _
-        | Inst.C_add _ | Inst.C_ld _ | Inst.C_sd _ | Inst.C_slli _
-        | Inst.C_lw _ | Inst.C_sw _ | Inst.C_lui _ | Inst.C_addiw _
-        | Inst.C_andi _ | Inst.C_alu _ ->
-            Tblock.Op op
-        | _ -> Tblock.Op_self op
+        Tblock.Op_self
+          (fun t ->
+            t.pc <- pc;
+            (match exec t inst size with
+            | Enone -> ()
+            | Eebreak _ | Eecall | Echeck _ -> assert false);
+            retire t)
 
 (* ------------------------------------------------------------------ *)
 (* IR emission                                                         *)
@@ -1477,13 +1295,15 @@ let page_mask = Memory.page_size - 1
    native arithmetic, so a sign-extending word load boxes exactly once. *)
 let sext32_int v = (v lxor 0x8000_0000) - 0x8000_0000
 
-(* Compile one optimized IR op to its effect closure. Mirrors the legacy
-   [compile_op] specializations, plus two allocation-saving idioms that are
-   exact in native [int]: effective addresses are computed as
-   [Int64.to_int base + off] (equal to the boxed Int64 sum modulo 2^63,
-   which is all an address is), and store data is masked in [int].
-   Fault-capable ops write their own pc first, exactly like the legacy
-   closures; pure ops never touch pc. *)
+(* Compile one IR op to its effect closure — the only code generator for
+   straight-line instructions, optimized or not. Width, signedness and the
+   hottest ALU ops are picked here so the closure runs no per-execution
+   dispatch, with two allocation-saving idioms that are exact in native
+   [int]: effective addresses are computed as [Int64.to_int base + off]
+   (equal to the boxed Int64 sum modulo 2^63, which is all an address is),
+   and store data is masked in [int]. Fault-capable ops write their own pc
+   first so a fault reports the exact instruction; pure ops never touch
+   pc. *)
 let emit_effect (o : Tir.op) : t -> unit =
   let pc = o.Tir.opc in
   match o.Tir.k with
@@ -2003,6 +1823,22 @@ let emit_run t stats ir_units tlb_elided (ops : Tir.op array) =
   Tir.optimize t.ir_state stats ops;
   emit_units ir_units tlb_elided ops
 
+(* The unoptimized emitter: one auto-retired unit per op — no passes, no
+   constant merging, no fusion — so fuel splits never cut a unit and the
+   icache loop can charge each unit's fetch before running it. *)
+let emit_plain (ops : Tir.op array) =
+  Array.fold_right
+    (fun o acc -> { Tblock.efn = emit_effect o; ewidth = 1; eself = false } :: acc)
+    ops []
+
+(* An instruction this hart cannot execute falls through to [compile_op],
+   which stops the block so the slow path raises the precise fault. *)
+let lower_op t ~pc inst size =
+  if Ext.supports t.isa inst then Tir.lower ~pc inst size else None
+
+(* Whether a translation optimizes its IR runs ({!emit_run}) or emits them
+   plainly ({!emit_plain}); read under the tier override, so true exactly
+   at tier 3 with the IR on and no icache model. *)
 let use_ir t = t.ir && t.icache = None
 
 (* Map a requested tier to the shape flags this machine can honor: tier 1
@@ -2020,9 +1856,9 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
   Tir.state_reset t.ir_state;
   (* Scope the block shape to the requested tier by overriding the machine
      flags for the duration of this translation: [compile_op] and the
-     [lower] gate read them directly. The effective tier (after the
-     machine's own caps) is recorded on the block for the promotion
-     driver and the profile report. *)
+     emitter choice ([use_ir]) read them directly. The effective tier
+     (after the machine's own caps) is recorded on the block for the
+     promotion driver and the profile report. *)
   let sb0 = t.superblocks and ir0 = t.ir in
   if tier <= 1 then t.superblocks <- false;
   if tier <= 2 then t.ir <- false;
@@ -2035,6 +1871,7 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
         t.ir <- ir0;
         t.relayout <- [])
     @@ fun () ->
+    let optimized = use_ir t in
     Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
       ~decode:(fun pc ->
         match decode_at t pc with
@@ -2042,18 +1879,17 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
         | exception Efault _ -> None
         | exception Memory.Violation _ -> None)
       ~lower:(fun ~pc inst size ->
-        (* capability gating here: only instructions this hart can execute
-           reach the IR; anything else falls through to [compile], whose
-           legacy path stops the block with the precise fault semantics *)
-        let r =
-          if use_ir t && Ext.supports t.isa inst then Tir.lower ~pc inst size
-          else None
-        in
+        let r = lower_op t ~pc inst size in
         (* record the lower/compile decision positionally: the op records
            pushed here are the very ones the closures capture, so by
-           export time their [k] fields hold the post-optimize kinds *)
+           export time their [k] fields hold the post-optimize kinds;
+           unoptimized ops are re-lowered at replay instead *)
         if t.rec_on then
-          steps := (match r with Some op -> Slower op | None -> Scompile) :: !steps;
+          steps :=
+            (match r with
+            | Some op when optimized -> Slower op
+            | Some _ | None -> Scompile)
+            :: !steps;
         r)
       ~compile:(fun ~pc inst size ->
         let c = compile_op t ~pc inst size in
@@ -2067,10 +1903,11 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
             | Inst.Jal (rd, _) ->
                 Tir.state_learn t.ir_state rd (Int64.of_int (pc + size))
             | _ -> ())
-        | Tblock.Op _ | Tblock.Op_self _ -> Tir.state_clobber t.ir_state
+        | Tblock.Op_self _ -> Tir.state_clobber t.ir_state
         | Tblock.Brcond _ | Tblock.Term | Tblock.Term_fn _ | Tblock.Stop -> ());
         c)
-      ~emit:(fun ops -> emit_run t stats ir_units tlb_elided ops)
+      ~emit:
+        (if optimized then emit_run t stats ir_units tlb_elided else emit_plain)
       entry
   in
   Tblock.set_tier b ~tier:etier ~relaid:(relayout <> []);
@@ -2520,17 +2357,15 @@ let run_blocks ~handlers ~fuel t =
               let miss = t.costs.Costs.icache_miss in
               while !u < ulimit do
                 let i = !u in
+                (* no unit wider than one instruction runs under the model
+                   (it caps translation below the optimizing tier), so each
+                   unit's fetch is touched here, in step-engine order *)
                 let s = Array.unsafe_get starts i in
-                (* fused units interleave their own fetch touches with the
-                   pair's effects; single-instruction units are touched
-                   here, in step-engine order *)
-                if Array.unsafe_get starts (i + 1) = s + 1 then begin
-                  let ipc = Array.unsafe_get pcs s
-                  and sz = Array.unsafe_get sizes s in
-                  if not (Icache.access ic ipc) then t.cycles_extra <- t.cycles_extra + miss;
-                  if not (Icache.access ic (ipc + sz - 1)) then
-                    t.cycles_extra <- t.cycles_extra + miss
-                end;
+                let ipc = Array.unsafe_get pcs s
+                and sz = Array.unsafe_get sizes s in
+                if not (Icache.access ic ipc) then t.cycles_extra <- t.cycles_extra + miss;
+                if not (Icache.access ic (ipc + sz - 1)) then
+                  t.cycles_extra <- t.cycles_extra + miss;
                 (Array.unsafe_get ops i) t;
                 incr u
               done);
@@ -3031,9 +2866,10 @@ let plan_stats p = (Array.length p.pl_blocks, Array.length p.pl_insts)
    (prefabbed) decode cache, the lower callback plays back the recorded
    decisions positionally — persisted post-optimize ops for IR runs, a
    deterministic recompile via [compile_op] for everything else — and the
-   emitter skips [Tir.optimize]. Any divergence (a consumed-out skeleton,
-   an unexpected fault) raises and the caller skips the entry, leaving it
-   to the normal cold path. *)
+   emitter skips [Tir.optimize]. In an unoptimized block a [Scompile] step
+   is re-lowered first, as the recording translation lowered it. Any
+   divergence (a consumed-out skeleton, an unexpected fault) raises and
+   the caller skips the entry, leaving it to the normal cold path. *)
 let rebuild_block t (pb : plan_block) =
   let sk = pb.pb_skel in
   let cursor = ref 0 in
@@ -3049,19 +2885,22 @@ let rebuild_block t (pb : plan_block) =
         t.ir <- ir0;
         t.relayout <- [])
     @@ fun () ->
+    let optimized = use_ir t in
     Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
       ~decode:(fun pc ->
         match decode_at t pc with
         | d -> Some d
         | exception Efault _ -> None
         | exception Memory.Violation _ -> None)
-      ~lower:(fun ~pc:_ _inst _size ->
+      ~lower:(fun ~pc inst size ->
         if !cursor >= Array.length sk.sk_steps then raise Exit;
         let s = sk.sk_steps.(!cursor) in
         incr cursor;
-        match s with Slower op -> Some op | Scompile -> None)
+        match s with
+        | Slower op -> Some op
+        | Scompile -> if optimized then None else lower_op t ~pc inst size)
       ~compile:(fun ~pc inst size -> compile_op t ~pc inst size)
-      ~emit:(fun ops -> emit_units ir_units tlb_elided ops)
+      ~emit:(if optimized then emit_units ir_units tlb_elided else emit_plain)
       pb.pb_entry
   in
   Tblock.set_tier b ~tier:pb.pb_tier ~relaid:pb.pb_relaid;

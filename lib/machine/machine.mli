@@ -170,21 +170,22 @@ val set_superblocks_default : bool -> unit
     harness's [--engine] flag sets it before building workloads). *)
 
 val set_ir : t -> bool -> unit
-(** Enable/disable the linear-IR translation pipeline (on by default).
-    When on, straight-line runs are lowered to {!Tir}, optimized
+(** Enable/disable the IR optimization passes (on by default). Straight-line
+    instructions are always lowered to {!Tir} and emitted through the same
+    code generator; when on, top-tier runs are first optimized
     block-locally (constant propagation into folded ops, dead-write
     elimination, memory-pattern fusion) and emitted as multi-instruction
-    execution units. When off, every instruction compiles to its direct
-    legacy closure — the bench's [--no-ir] ablation. Unlike
+    execution units. When off, every instruction becomes its own unit with
+    no passes — the bench's [--no-ir] ablation. Unlike
     {!set_superblocks}, flipping this drops cached blocks (both settings
-    then see freshly translated code). The icache model bypasses the IR
+    then see freshly translated code). The icache model skips the passes
     regardless (per-fetch accounting needs per-instruction units). *)
 
 val ir : t -> bool
 
 val set_ir_default : bool -> unit
-(** IR setting for machines created after this call (the bench harness's
-    [--no-ir] flag clears it before building workloads). *)
+(** IR-pass setting ({!set_ir}) for machines created after this call (the
+    bench harness's [--no-ir] flag clears it before building workloads). *)
 
 val set_tiered : t -> bool -> unit
 (** Enable/disable tiered execution (off by default). When on, cold code is

@@ -11,8 +11,11 @@
    Straight-line instructions are lowered into the linear IR ({!Tir}) and
    buffered; at the first control-flow, non-lowerable or terminating
    instruction the buffered run is handed to the machine's [emit] callback,
-   which optimizes it as a whole and returns execution units (each covering
-   one or more instructions). The per-instruction metadata (pcs, sizes,
+   which returns execution units (each covering one or more instructions) —
+   optimized and fused at the top tier, one unit per instruction below it.
+   Every straight-line instruction the IR accepts goes through [emit]; the
+   [compile] callback sees only control flow, terminators and instructions
+   the IR declines. The per-instruction metadata (pcs, sizes,
    classes) stays exact regardless of how the emitter groups instructions
    into units, so fuel accounting, fault attribution and the profiler's
    prefix walks are unaffected by IR optimization.
@@ -82,16 +85,13 @@ module Gen = struct
     !s
 end
 
-(* What the machine's compiler says about one decoded instruction. *)
+(* What the machine's compiler says about one decoded instruction the IR
+   did not lower. *)
 type 'm compiled =
-  | Op of ('m -> unit)
-      (** Straight-line: executes the instruction. The closure does not
-          touch the retired counter — the dispatch loop credits it in bulk
-          through [auto]. *)
   | Op_self of ('m -> unit)
-      (** Straight-line like [Op], but the closure retires internally
-          (vector / interpreter-fallback instructions with their own
-          accounting); excluded from [auto]. *)
+      (** Straight-line instruction the IR declined: the closure executes
+          it and retires internally (vector / interpreter-fallback
+          instructions with their own accounting); excluded from [auto]. *)
   | Jump of ('m -> unit) * int
       (** Inlined direct jump: the closure transfers to the (static) target
           and retires; decoding continues at the target. *)
@@ -302,11 +302,6 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
                     term_class := Profile.class_code inst;
                     pc := !pc + size;
                     stop := true
-                | Op f ->
-                    add_pages !pc size;
-                    push_inst !pc size (Profile.class_code inst);
-                    push_unit f 1 ~self:false;
-                    pc := !pc + size
                 | Op_self f ->
                     (* carries its own retire accounting *)
                     add_pages !pc size;

@@ -12,9 +12,10 @@
 
     Straight-line instructions are lowered into the linear IR ({!Tir}) and
     buffered as a run; at every block event the run is handed to the
-    machine's [emit] callback, which optimizes it whole (constant
-    propagation, dead-write elimination) and returns execution units, each
-    covering one or more instructions. The per-instruction metadata
+    machine's [emit] callback, which returns execution units, each covering
+    one or more instructions — at the top tier it optimizes the run whole
+    (constant propagation, dead-write elimination, fusion), below it every
+    instruction becomes its own unit. The per-instruction metadata
     ([pcs]/[sizes]/[classes]) is kept exact per instruction regardless of
     how the emitter groups — [starts] maps units back to instruction
     indices so fuel, faults and profiler prefix walks stay bit-exact.
@@ -27,8 +28,9 @@
     keep invalidation page-granular.
 
     The module is parameterized over the machine state ['m]; the machine
-    supplies decoding and per-instruction compilation, this module owns
-    block layout, termination policy, and invalidation bookkeeping. *)
+    supplies decoding, lowering, emission and the compilation of everything
+    the IR does not lower; this module owns block layout, termination
+    policy, and invalidation bookkeeping. *)
 
 module Gen : sig
   type t
@@ -52,13 +54,10 @@ module Gen : sig
 end
 
 type 'm compiled =
-  | Op of ('m -> unit)
-      (** Straight-line: executes the instruction; the retired counter is
-          credited in bulk by the dispatch loop (see [auto]). *)
   | Op_self of ('m -> unit)
-      (** Straight-line like [Op], but the closure retires internally
-          (vector / interpreter-fallback instructions); excluded from
-          [auto]. *)
+      (** Straight-line instruction the IR declined: the closure executes
+          it and retires internally (vector / interpreter-fallback
+          instructions); excluded from [auto]. *)
   | Jump of ('m -> unit) * int
       (** Inlined direct jump: the closure transfers to the static target
           (the [int]) and retires; decoding continues at the target. *)
@@ -160,7 +159,7 @@ val translate :
     slow path will raise the precise fault when execution reaches it).
     [lower] turns a straight-line instruction into an IR op ([None] routes
     it to [compile] instead — control flow, terminators, instructions the
-    machine keeps on its legacy path). Buffered IR runs are flushed
+    IR declines or the hart cannot execute). Buffered IR runs are flushed
     through [emit] at every block event; [emit] returns the run's
     execution units in order, whose widths must sum to the run's
     instruction count. [epoch] is the machine's current code epoch,

@@ -2,10 +2,10 @@
 
     [Tblock.translate] lowers each straight-line instruction into one
     {!op} — a typed operation over guest registers with explicit read/write
-    sets and fault capability — instead of compiling it directly to a
-    closure. Runs of ops are optimized as a unit ({!optimize}) and only
-    then emitted back to the machine as closures, so the emitter sees the
-    whole straight-line region at once:
+    sets and fault capability — and the machine emits every op through
+    one code generator, at every tier. In a top-tier translation, runs of
+    ops are first optimized as a unit ({!optimize}), so the emitter sees
+    the whole straight-line region at once:
 
     - {b register caching}: a register whose value is known at translation
       time (materialized by [lui]/[li]/[auipc] chains, or computed from
@@ -24,8 +24,8 @@
 
     The IR is deliberately tiny: only instructions the block engine
     executes as straight-line units are lowered ({!lower} returns [None]
-    for control flow, system and vector/SIMD instructions — those keep
-    their PR5 compilation paths). Soundness of cross-op facts rests on the
+    for control flow, system and vector/SIMD instructions — the machine
+    compiles those itself). Soundness of cross-op facts rests on the
     dispatch discipline documented in machine.ml: a block's units are only
     ever executed from its entry, in order, within one dispatch, and every
     observable point (fault, side exit, fuel split, terminator) either
@@ -63,10 +63,10 @@ type op = { opc : int; osize : int; mutable k : kind }
 
 val lower : pc:int -> Inst.t -> int -> op option
 (** Lower one decoded instruction, or [None] if it is not a straight-line
-    candidate (control flow, system, vector/packed-SIMD — the machine's
-    legacy compile path handles those). The caller is responsible for
-    capability gating: only instructions the current hart supports may be
-    lowered. *)
+    candidate (control flow, system, vector/packed-SIMD — the machine
+    compiles those itself, the last two through its interpreter fallback).
+    The caller is responsible for capability gating: only instructions the
+    current hart supports may be lowered. *)
 
 val faultable : kind -> bool
 (** Can the op raise (memory access)? Fault-capable ops are barriers for
@@ -80,7 +80,7 @@ val writes : kind -> int
 (** {1 Evaluators}
 
     The single source of truth for ALU semantics: the interpreter, the
-    legacy closure compiler and constant folding all call these, so a
+    emitter's general cases and constant folding all call these, so a
     folded result is bit-identical to the step engine's. *)
 
 val sext32 : int64 -> int64

@@ -77,10 +77,12 @@ type t = {
   mutable step_cls : int;  (* class of the instruction between step_begin/step_end *)
 }
 
-let next_session = ref 0
+(* Session ids must be unique per process even when profiles are created
+   on several domains. *)
+let next_session = Atomic.make 0
 
 let create () =
-  incr next_session;
+  let session = Atomic.fetch_and_add next_session 1 + 1 in
   let root =
     {
       fname = -1;
@@ -91,7 +93,7 @@ let create () =
     }
   in
   {
-    t_session = !next_session;
+    t_session = session;
     rows = Hashtbl.create 1024;
     root;
     cur = root;

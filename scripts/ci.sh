@@ -143,6 +143,31 @@ if ! awk "BEGIN { exit !($hit >= 0.95) }"; then
 fi
 echo "ci: cache gates passed (hit_rate=$hit, translate_s $cold_translate -> $warm_translate)"
 
+# Unoptimized plans at every tier: with the IR passes off, translations
+# record their straight-line instructions as Scompile steps and replay
+# re-lowers them. Two --no-ir invocations against one fresh directory must
+# retire what the default cache run retired, and the second must hit
+# nearly everything. (test_cache checks that every recorded block of such
+# a plan seeds.)
+cachedir_noir=$(mktemp -d /tmp/chimera-cache-noir-XXXXXX)
+trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$cachedir_noir"' EXIT
+dune exec bench/main.exe -- fig13 -q --no-ir --cache "$cachedir_noir" --json "$json_cache"
+retired_noir1=$(grep -o '"retired": [0-9]*' "$json_cache")
+dune exec bench/main.exe -- fig13 -q --no-ir --cache "$cachedir_noir" --json "$json_cache"
+retired_noir2=$(grep -o '"retired": [0-9]*' "$json_cache")
+hit_noir=$(grep -o '"cache_hit_rate": [0-9.]*' "$json_cache" | grep -o '[0-9.]*$')
+test -n "$hit_noir"
+if [ "$retired_noir1" != "$retired1" ] || [ "$retired_noir2" != "$retired1" ]; then
+  echo "ci: --no-ir cache runs changed execution:" >&2
+  echo "  default [$retired1] no-ir [$retired_noir1] [$retired_noir2]" >&2
+  exit 1
+fi
+if ! awk "BEGIN { exit !($hit_noir >= 0.95) }"; then
+  echo "ci: --no-ir cache gate failed: cache_hit_rate=$hit_noir (need >= 0.95)" >&2
+  exit 1
+fi
+echo "ci: --no-ir cache gates passed (hit_rate=$hit_noir)"
+
 # Metrics smoke: a quick fig13 with the always-on metrics registry
 # exporting at exit. The driver already hard-checks the snapshot totals
 # against the machine counters (non-zero exit on divergence); re-assert
@@ -151,7 +176,7 @@ echo "ci: cache gates passed (hit_rate=$hit, translate_s $cold_translate -> $war
 # health watchdog found every rule healthy.
 metrics_prom=$(mktemp /tmp/chimera-metrics-XXXXXX.prom)
 json_metrics=$(mktemp /tmp/chimera-metrics-XXXXXX.json)
-trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics"' EXIT
+trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$cachedir_noir" "$metrics_prom" "$json_metrics"' EXIT
 dune exec bench/main.exe -- fig13 -q --json "$json_metrics" --metrics "$metrics_prom"
 grep -q '^# TYPE chimera_retired_total counter$' "$metrics_prom"
 grep -q '^# TYPE chimera_translate_ns histogram$' "$metrics_prom"
@@ -180,7 +205,7 @@ echo "ci: metrics smoke passed (retired=$retired_prom, watchdog healthy)"
 # fully drained.
 json_serve=$(mktemp /tmp/chimera-serve-XXXXXX.json)
 serve_prom=$(mktemp /tmp/chimera-serve-XXXXXX.prom)
-trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics" "$json_serve" "$serve_prom"' EXIT
+trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$cachedir_noir" "$metrics_prom" "$json_metrics" "$json_serve" "$serve_prom"' EXIT
 dune exec bench/main.exe -- serve -q -j 2 --json "$json_serve" --metrics "$serve_prom"
 grep -q '"serve_p99_ms":' "$json_serve"
 grep -q '"serve_throughput":' "$json_serve"

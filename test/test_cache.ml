@@ -2,10 +2,12 @@
 
    - a cold/warm property test: random branch- and jalr-dense programs run
      cold (recording, plan stored) then warm (plan seeded) under every
-     engine — step, block, superblock, tiered — and must retire
-     bit-identically: same stop, registers, pc, retired and cycle counts.
-     The cache may only change how fast translations appear, never what
-     executes;
+     engine — step, block, superblock, superblock with the IR passes off,
+     tiered, tiered under an icache model — and must retire
+     bit-identically: same stop, registers, pc, retired, cycle and icache
+     miss counts. Every recorded block must seed (the last two record
+     unoptimized blocks, which replay re-lowers). The cache may only
+     change how fast translations appear, never what executes;
 
    - an SMC case: a program whose code is patched mid-run stores its plan
      under the digest of the patched bytes, so a pristine reload's lookup
@@ -26,6 +28,7 @@ type snap = {
   sn_pc : int;
   sn_retired : int;
   sn_cycles : int;
+  sn_icache : int;
 }
 
 let snapshot m stop =
@@ -33,7 +36,8 @@ let snapshot m stop =
     sn_regs = List.init 32 (fun i -> Machine.get_reg m (Reg.of_int i));
     sn_pc = Machine.pc m;
     sn_retired = Machine.retired m;
-    sn_cycles = Machine.cycles m }
+    sn_cycles = Machine.cycles m;
+    sn_icache = Machine.icache_misses m }
 
 let pp_snap s =
   let stop =
@@ -42,8 +46,8 @@ let pp_snap s =
     | Machine.Faulted f -> Printf.sprintf "fault %s" (Fault.to_string f)
     | Machine.Fuel_exhausted -> "fuel"
   in
-  Printf.sprintf "%s pc=%#x retired=%d cycles=%d" stop s.sn_pc s.sn_retired
-    s.sn_cycles
+  Printf.sprintf "%s pc=%#x retired=%d cycles=%d icache_misses=%d" stop s.sn_pc
+    s.sn_retired s.sn_cycles s.sn_icache
 
 (* --- random programs ---------------------------------------------------- *)
 
@@ -107,15 +111,22 @@ let engine_setup mode m =
   | `Step -> Machine.set_block_engine m false
   | `Block -> Machine.set_superblocks m false
   | `Super -> ()
+  | `No_ir -> Machine.set_ir m false
   | `Tiered ->
       Machine.set_tiered m true;
       Machine.set_inline_caches m true
+  | `Tiered_icache ->
+      Machine.set_tiered m true;
+      Machine.set_inline_caches m true;
+      Machine.enable_icache ~sets:4 ~line:16 m
 
 let mode_name = function
   | `Step -> "step"
   | `Block -> "block"
   | `Super -> "super"
+  | `No_ir -> "no-ir"
   | `Tiered -> "tiered"
+  | `Tiered_icache -> "tiered-icache"
 
 (* fresh per-test cache directory under the system temp dir, removed at
    exit so manual runs outside the dune sandbox don't litter the cwd *)
@@ -162,20 +173,23 @@ let prop_cold_warm =
       List.for_all
         (fun mode ->
           let extra = mode_name mode in
-          let cold =
+          let cold, blocks =
             let m = machine_for bin mode in
             let stop = Machine.run ~fuel:5_000_000 m in
             let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
             Cache.store_plan c ~key m;
-            snapshot m stop
+            (snapshot m stop, fst (Machine.plan_stats (Machine.export_plan m)))
           in
           let m = machine_for bin mode in
           let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
           (match Cache.seed_plan c ~key m with
           | Ok n ->
-              (* every translating engine must actually go warm *)
+              (* every translating engine must actually go warm, and a
+                 skipped block means its replay diverged *)
               if mode <> `Step && n = 0 then
-                QCheck.Test.fail_reportf "%s: plan hit seeded no blocks" extra
+                QCheck.Test.fail_reportf "%s: plan hit seeded no blocks" extra;
+              if n <> blocks then
+                QCheck.Test.fail_reportf "%s: seeded %d of %d blocks" extra n blocks
           | Error r ->
               QCheck.Test.fail_reportf "%s: warm lookup missed (%s)" extra r);
           let warm = snapshot m (Machine.run ~fuel:5_000_000 m) in
@@ -183,7 +197,7 @@ let prop_cold_warm =
             QCheck.Test.fail_reportf "seed=%d %s: cold { %s } <> warm { %s }"
               seed extra (pp_snap cold) (pp_snap warm)
           else true)
-        [ `Step; `Block; `Super; `Tiered ])
+        [ `Step; `Block; `Super; `No_ir; `Tiered; `Tiered_icache ])
 
 (* --- self-modifying code ------------------------------------------------ *)
 

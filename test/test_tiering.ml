@@ -6,8 +6,9 @@
      forces every epoch-guarded inline cache to re-resolve), and a
      continuation across a warm-TLB permission downgrade that makes the next
      store fault. Step, untiered superblock, tiered and tiered-without-IC
-     machines must agree bit-for-bit on stop state, registers, pc and
-     counters at every phase boundary;
+     machines, all with the icache model on or all with it off, must agree
+     bit-for-bit on stop state, registers, pc and counters (cycles and
+     icache misses included) at every phase boundary;
 
    - a golden test pinning the inline-cache state machine: one call site
      driven through one, then three, then nine distinct targets must be
@@ -22,6 +23,7 @@ type snap = {
   sn_pc : int;
   sn_retired : int;
   sn_cycles : int;
+  sn_icache : int;
 }
 
 let snapshot m stop =
@@ -29,7 +31,8 @@ let snapshot m stop =
     sn_regs = List.init 32 (fun i -> Machine.get_reg m (Reg.of_int i));
     sn_pc = Machine.pc m;
     sn_retired = Machine.retired m;
-    sn_cycles = Machine.cycles m }
+    sn_cycles = Machine.cycles m;
+    sn_icache = Machine.icache_misses m }
 
 let pp_snap s =
   let stop =
@@ -38,8 +41,8 @@ let pp_snap s =
     | Machine.Faulted f -> Printf.sprintf "fault %s" (Fault.to_string f)
     | Machine.Fuel_exhausted -> "fuel"
   in
-  Printf.sprintf "%s pc=%#x retired=%d cycles=%d" stop s.sn_pc s.sn_retired
-    s.sn_cycles
+  Printf.sprintf "%s pc=%#x retired=%d cycles=%d icache_misses=%d" stop s.sn_pc
+    s.sn_retired s.sn_cycles s.sn_icache
 
 let check_snaps ~what oracle got =
   if oracle <> got then
@@ -114,9 +117,12 @@ let tier_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let run_tier_phases mode bin ~patch_addr ~f1 ~f2 =
+let run_tier_phases mode bin ~icache ~patch_addr ~f1 ~f2 =
   let mem = Loader.load bin in
   let m = Machine.create ~mem ~isa:base_isa () in
+  (* a tiny direct-mapped icache thrashes on this loop, so the miss count
+     pins the exact fetch sequence, not just the set of lines touched *)
+  if icache then Machine.enable_icache ~sets:4 ~line:16 m;
   (match mode with
   | `Step -> Machine.set_block_engine m false
   | `Super -> ()
@@ -157,15 +163,17 @@ let prop_tier_differential =
           let* seed = int_bound 100_000 in
           let* f1 = int_range 500 8_000 in
           let* f2 = int_range 500 8_000 in
-          return (seed, f1, f2)))
-    (fun (seed, f1, f2) ->
+          let* icache = bool in
+          return (seed, f1, f2, icache)))
+    (fun (seed, f1, f2, icache) ->
       let bin, patch_addr = tier_program (Random.State.make [| seed |]) in
-      let r1, r2, r3 = run_tier_phases `Step bin ~patch_addr ~f1 ~f2 in
+      let r1, r2, r3 = run_tier_phases `Step bin ~icache ~patch_addr ~f1 ~f2 in
       List.for_all
         (fun (label, mode) ->
-          let b1, b2, b3 = run_tier_phases mode bin ~patch_addr ~f1 ~f2 in
+          let b1, b2, b3 = run_tier_phases mode bin ~icache ~patch_addr ~f1 ~f2 in
           let what p =
-            Printf.sprintf "tier seed=%d f1=%d f2=%d %s phase%d" seed f1 f2 label p
+            Printf.sprintf "tier seed=%d f1=%d f2=%d icache=%b %s phase%d" seed f1 f2
+              icache label p
           in
           check_snaps ~what:(what 1) r1 b1
           && check_snaps ~what:(what 2) r2 b2
