@@ -291,11 +291,10 @@ let cmd_profile trace bin_file top out =
 
 (* ---- metrics --------------------------------------------------------------- *)
 
-(* One run of a binary under the Chimera runtime with the always-on metrics
-   subsystem enabled, dumping the final snapshot. This is the serving-daemon
+(* One run of a binary under the Chimera runtime, dumping the final
+   snapshot of the always-on metrics registry. This is the serving-daemon
    view of an execution: live counters, latency quantiles and the health
-   watchdog's verdicts, at one-branch cost on the paths --trace would slow
-   down. --capture additionally keeps the most recent Obs events in a
+   watchdog's verdicts, at no cost on the paths --trace would slow down. --capture additionally keeps the most recent Obs events in a
    bounded in-memory ring for post-mortem context, counting (never hiding)
    what the ring overwrote. *)
 let cmd_metrics file isa fuel tiered fmt out capture =
@@ -304,7 +303,6 @@ let cmd_metrics file isa fuel tiered fmt out capture =
     Machine.set_tiered_default true;
     Machine.set_inline_caches_default true
   end;
-  Metrics.enable ();
   if capture > 0 then Obs.enable_memory ~capacity:capture ();
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
   let rt = Chimera_rt.create ctx in
@@ -431,7 +429,6 @@ let cmd_cache_prewarm dir file isa fuel mode tiered =
 let cmd_serve socket guests jobs cache_dir tiered repeat max_queue fuel isa
     metrics_out max_requests =
   let cache = Option.map Cache.open_dir cache_dir in
-  if metrics_out <> None then Metrics.enable ();
   let jobs = max 1 jobs in
   let ext_workers = jobs / 2 in
   let base_workers = jobs - ext_workers in
@@ -612,9 +609,9 @@ let metrics_cmd =
   in
   Cmd.v
     (Cmd.info "metrics"
-       ~doc:"Run a binary under the Chimera runtime with the always-on \
-             metrics subsystem enabled and dump the final snapshot \
-             (counters, latency quantiles, health watchdog verdicts)")
+       ~doc:"Run a binary under the Chimera runtime and dump the final \
+             snapshot of the always-on metrics (counters, latency \
+             quantiles, health watchdog verdicts)")
     Term.(const cmd_metrics $ file $ isa $ fuel $ tiered $ fmt $ out $ capture)
 
 let cache_cmd =
@@ -698,7 +695,7 @@ let serve_cmd =
   let isa = Arg.(value & opt isa_conv Ext.rv64gcv & info [ "isa" ] ~doc:"Hart capabilities.") in
   let metrics =
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-         ~doc:"Enable metrics and dump a Prometheus snapshot (admission \
+         ~doc:"Dump a Prometheus snapshot of the always-on metrics (admission \
                counters, per-tenant retired, latency histogram, health \
                watchdog) to $(docv) at shutdown; exits nonzero if the \
                watchdog is degraded.")

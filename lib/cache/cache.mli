@@ -61,17 +61,19 @@ val seed_plan : t -> key:string -> Machine.t -> (int, string) result
 (** {1 Telemetry and maintenance} *)
 
 val observed : unit -> int * int * int
-(** Process-wide [(hits, misses, stores)] since the last reset. *)
+(** Process-wide [(hits, misses, stores)] since the last {!Metrics.reset}:
+    a read of the [chimera_cache_loads_total], [chimera_cache_rejects_total]
+    and [chimera_cache_stores_total] metrics, kept for perfbench. Other
+    callers read {!Metrics.Snapshot} directly. *)
 
 val observed_dedup : unit -> int
 (** Stores skipped because a valid entry already held the digest — the
     concurrent-tenant duplicate-store path. Content addressing makes such
     stores redundant (every writer serializes identical bytes), so the
     cache validates the existing entry and skips the Marshal + tmp +
-    rename instead of re-writing it; counted here and in the
-    [chimera_cache_dedup_total] metric. Reset by {!reset_observed}. *)
-
-val reset_observed : unit -> unit
+    rename instead of re-writing it. A read of the
+    [chimera_cache_dedup_total] metric, kept for perfbench like
+    {!observed}. *)
 
 val stat : t -> int * int
 (** [(entries, bytes)] currently in the cache directory. *)

@@ -158,8 +158,6 @@ let migrate t ~to_ =
        semantically equivalent across views (paper: probe at the exit) *)
     let stepped = ref 0 in
     let stopped = ref false in
-    let _, dispatches0 = Machine.observed_chain () in
-    let exits0, _ = Machine.observed_superblock () in
     while
       (not !stopped) && in_targets t.cur (Machine.pc t.m) && !stepped < 100_000
     do
@@ -167,18 +165,6 @@ let migrate t ~to_ =
       | None -> incr stepped
       | Some _ -> stopped := true
     done;
-    (* these steps retire outside [Machine.run], so the process-wide
-       retired counter never sees them; credit them to the extra counter
-       so the bench's MIPS covers everything the simulator executed *)
-    Machine.add_observed_extra !stepped;
-    (* any dispatches the deferral produced happened outside the workload
-       proper: record them in the extra window so the bench can keep its
-       rate denominators over translated workload code only *)
-    let _, dispatches1 = Machine.observed_chain () in
-    let exits1, _ = Machine.observed_superblock () in
-    Machine.add_observed_extra_window
-      ~dispatches:(dispatches1 - dispatches0)
-      ~side_exits:(exits1 - exits0);
     (* carry the vector state across the class boundary *)
     (match (vregs_region t.cur, vregs_region target) with
     | None, Some _ ->

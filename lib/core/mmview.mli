@@ -33,10 +33,8 @@ val start : t -> on:Ext.t -> unit
 val migrate : t -> to_:Ext.t -> int
 (** Switch to another class's view (and hart capabilities), deferring while
     the pc sits in the current view's target instructions. Returns the
-    number of instructions stepped while deferring; the same count is
-    credited to {!Machine.add_observed_extra} (these steps retire outside
-    {!Machine.run}, so the bench's throughput accounting would otherwise
-    miss them).
+    number of instructions stepped while deferring. These steps retire
+    outside {!Machine.run}, so no process-wide counter sees them.
     @raise Not_found if the class was not deployed. *)
 
 val run : t -> fuel:int -> Machine.stop

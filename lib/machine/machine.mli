@@ -90,7 +90,13 @@ val invalidate_code : t -> addr:int -> len:int -> unit
     between views). O(pages patched): bumps page-granular generation
     counters; stale entries fail their stamp check on next use. *)
 
-(** {1 Counters} *)
+(** {1 Counters}
+
+    This machine's own counts (retired, cycles, icache misses). The
+    engine's other counts — dispatches, chain hits, side exits,
+    inline-cache and tiering events, translations, IR pass statistics, TLB
+    hits and misses — are kept in per-machine mutables and added to the
+    [lib/metrics] registry once per {!run} (see {!section-process}). *)
 
 val enable_icache : ?sets:int -> ?line:int -> t -> unit
 (** Attach an {!Icache} model: every fetch checks it and misses charge
@@ -115,8 +121,6 @@ val cycles : t -> int
 
 val charge : t -> int -> unit
 (** Add penalty cycles (used by runtime handlers for traps, checks, ...). *)
-
-val reset_counters : t -> unit
 
 (** {1 Execution} *)
 
@@ -237,81 +241,42 @@ val profile : t -> Profile.t option
     [Fault_recovered]/[Trap_taken] to the enclosing block
     ([Profile.note_recovered]/[note_trap]). *)
 
-val observed_retired : unit -> int
-(** Process-wide total of instructions retired by completed {!run} calls
-    (one atomic add per run; domain-safe). The bench harness uses it to
-    report simulated MIPS. *)
+(** {1:process Process-wide counters}
 
-val reset_observed_retired : unit -> unit
+    The [lib/metrics] registry is the process's one counting system. Each
+    {!run} adds what it retired to [chimera_retired_total] and folds the
+    machine's engine counts into [chimera_dispatches_total],
+    [chimera_chain_hits_total], [chimera_side_exits_total],
+    [chimera_fused_total], [chimera_ic_hits_total],
+    [chimera_ic_misses_total], [chimera_ic_mega_dispatches_total],
+    [chimera_tier_promotions_total], [chimera_recompiles_total],
+    [chimera_translations_total], the seven [chimera_ir_*_total] pass
+    counters and the TLB counters. Read them with {!Metrics.Snapshot}, as
+    deltas around the work being measured.
+
+    The accessors below are one-snapshot reads of those metrics, kept for
+    perfbench. *)
+
+val observed_retired : unit -> int
+(** [chimera_retired_total]: instructions retired by completed {!run}
+    calls. *)
 
 val observed_chain : unit -> int * int
-(** Process-wide [(chain hits, block dispatches)] accumulated by completed
-    {!run} calls — a chain hit is a dispatch that followed a direct link
-    instead of probing the block table. *)
-
-val reset_observed_chain : unit -> unit
+(** [(chain hits, block dispatches)] — a chain hit is a dispatch that
+    followed a direct link instead of probing the block table. *)
 
 val observed_superblock : unit -> int * int
-(** Process-wide [(side exits, fused instructions)] accumulated by
-    completed {!run} calls — a side exit is a dispatch that left its block
-    through a taken inlined branch; fused instructions count instructions
-    beyond the first in multi-instruction execution units
+(** [(side exits, fused instructions)] — a side exit is a dispatch that
+    left its block through a taken inlined branch; fused instructions count
+    instructions beyond the first in multi-instruction execution units
     (Σ (unit width − 1) over translated blocks). *)
 
-val reset_observed_superblock : unit -> unit
-
-val add_observed_extra : int -> unit
-(** Credit instructions retired outside {!run} (e.g. {!step} loops driven
-    by MMView migration) to the process-wide extra counter, so harnesses
-    can report throughput over everything the simulator executed. *)
-
-val observed_extra : unit -> int
-val reset_observed_extra : unit -> unit
-
-val add_observed_extra_window : dispatches:int -> side_exits:int -> unit
-(** Record block dispatches (and their side exits) that happened inside an
-    extra-counter window — MMView migration deferral, the bench's
-    measurement-phase absorption — so harnesses can subtract them from the
-    per-experiment rate denominators and report rates over translated
-    workload code only. *)
-
-val observed_extra_window : unit -> int * int
-(** Process-wide [(dispatches, side exits)] recorded via
-    {!add_observed_extra_window}. *)
-
-val reset_observed_extra_window : unit -> unit
-
 val observed_ic : unit -> int * int * int
-(** Process-wide [(hits, misses, megamorphic dispatches)] accumulated by
-    completed {!run} calls on machines with inline caches on: a hit followed
-    a cached epoch-valid link, a miss fell back to the block table and
-    retrained the site, and a megamorphic dispatch went through an
-    overflowed site that no longer caches (neither hit nor miss —
-    [ic_hit_rate] is hits / (hits + misses)). *)
-
-val reset_observed_ic : unit -> unit
-
-val observed_tiering : unit -> int * int
-(** Process-wide [(tier promotions, profile-guided recompiles)] accumulated
-    by completed {!run} calls on tiered machines. *)
-
-val reset_observed_tiering : unit -> unit
-
-type ir_stats = {
-  irs_blocks : int;  (** translations that produced IR units *)
-  irs_units : int;  (** execution units emitted from IR runs *)
-  irs_folded : int;  (** ops folded to translation-time constants *)
-  irs_dead : int;  (** ops killed by dead-write elimination *)
-  irs_pc_elided : int;  (** ops emitted without a pc write *)
-  irs_tlb_elided : int;  (** paired accesses sharing one TLB check *)
-  irs_cached : int;  (** operand reads served from known constants *)
-}
-
-val observed_ir : unit -> ir_stats
-(** Process-wide IR translation statistics accumulated by completed {!run}
-    calls (same flush discipline as the other observed counters). *)
-
-val reset_observed_ir : unit -> unit
+(** [(hits, misses, megamorphic dispatches)] on machines with inline caches
+    on: a hit followed a cached epoch-valid link, a miss fell back to the
+    block table and retrained the site, and a megamorphic dispatch went
+    through an overflowed site that no longer caches (neither hit nor miss
+    — [ic_hit_rate] is hits / (hits + misses)). *)
 
 (** {1 Tier / inline-cache introspection}
 
@@ -392,10 +357,9 @@ val plan_stats : plan -> int * int
 (** [(blocks, decode entries)] in a plan — for cache telemetry. *)
 
 val observed_translate : unit -> float * int
-(** Process-wide [(seconds, translations)] spent on fresh translations,
-    accumulated by completed {!run} calls. Plan replay is deliberately
-    excluded — it is cache-preparation work, charged by the caller (the
-    bench's [warm_start_s]) — so a warm/cold [translate_s] ratio measures
-    exactly the translation work the cache avoided. *)
-
-val reset_observed_translate : unit -> unit
+(** [(seconds, translations)] spent on fresh translations: the sum of the
+    [chimera_translate_ns] histogram and [chimera_translations_total]. Plan
+    replay is deliberately excluded — it is cache-preparation work, charged
+    by the caller (the bench's [warm_start_s]) — so a warm/cold
+    [translate_s] ratio measures exactly the translation work the cache
+    avoided. *)

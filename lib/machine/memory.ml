@@ -95,9 +95,9 @@ let flush_tlb t =
   Array.fill t.tlb_x_data 0 tlb_size Bytes.empty;
   t.tlb_epoch <- Atomic.get perm_epoch
 
-(* TLB metrics are fed in [flush_tlb_stats], from the same per-memory
-   mutables folded into the observed atomics — the per-access path stays
-   metric-free. Only the epoch bump records at its (cold) source. *)
+(* TLB hits and misses are counted in per-memory mutables and added to the
+   registry in [flush_tlb_stats] — the per-access path stays metric-free.
+   Only the epoch bump records at its (cold) source. *)
 let m_tlb_hits = Metrics.counter ~help:"TLB hits" "chimera_tlb_hits_total"
 let m_tlb_misses = Metrics.counter ~help:"TLB misses" "chimera_tlb_misses_total"
 
@@ -107,7 +107,7 @@ let m_perm_epochs =
 
 let bump_perm_epoch ~addr ~len =
   Atomic.incr perm_epoch;
-  if !Metrics.enabled then Metrics.incr m_perm_epochs;
+  Metrics.incr m_perm_epochs;
   if !Obs.enabled then Obs.emit (Obs.Tlb_flush { addr; len })
 
 let map t ~addr ~len perm =
@@ -204,28 +204,11 @@ let checked_data t addr access =
 let tlb_stats t = (t.tlb_hits, t.tlb_misses)
 let tlb_misses_live t = t.tlb_misses
 
-let g_tlb_hits = Atomic.make 0
-let g_tlb_misses = Atomic.make 0
-
 let flush_tlb_stats t =
-  if !Metrics.enabled then begin
-    Metrics.add m_tlb_hits t.tlb_hits;
-    Metrics.add m_tlb_misses t.tlb_misses
-  end;
-  if t.tlb_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add g_tlb_hits t.tlb_hits);
-    t.tlb_hits <- 0
-  end;
-  if t.tlb_misses <> 0 then begin
-    ignore (Atomic.fetch_and_add g_tlb_misses t.tlb_misses);
-    t.tlb_misses <- 0
-  end
-
-let observed_tlb () = (Atomic.get g_tlb_hits, Atomic.get g_tlb_misses)
-
-let reset_observed_tlb () =
-  Atomic.set g_tlb_hits 0;
-  Atomic.set g_tlb_misses 0
+  Metrics.add m_tlb_hits t.tlb_hits;
+  Metrics.add m_tlb_misses t.tlb_misses;
+  t.tlb_hits <- 0;
+  t.tlb_misses <- 0
 
 (* Payload of the page containing [addr] for the unchecked accessors. *)
 let unchecked_data t addr =

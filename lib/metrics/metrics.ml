@@ -16,10 +16,6 @@
    one bucket array per histogram actually touched; the list is only
    walked at snapshot/reset time. *)
 
-let enabled = ref false
-let enable () = enabled := true
-let disable () = enabled := false
-
 type mkind = Kcounter | Kgauge | Khist
 
 let kind_name = function

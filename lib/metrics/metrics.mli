@@ -8,13 +8,15 @@
     health signals cheap enough to leave enabled in production and safe
     under [-j N], which [--trace] is not.
 
-    {b Cost model.} Recording is off by default and every emission site is
-    guarded by a single load-and-branch on {!enabled}
-    ([if !Metrics.enabled then Metrics.incr c]) — the same discipline as
-    [Obs.enabled], verified by the bench regression gate. When on, a
-    counter bump is a domain-local array increment: no lock, no allocation,
-    no atomic. Histogram recording is one array increment into a fixed
-    log-linear bucket layout (HDR-style); quantiles cost nothing until
+    {b Cost model.} Recording is unconditional: this registry is the
+    process's only counting system, so there is no switch to forget. Hot
+    layers never call into it per instruction — the machine and the TLB
+    count in per-machine mutable ints and add them here once per
+    [Machine.run] — and the remaining emission sites are per-event and
+    cold (a fault, a rewritten site, a served request). A counter bump is
+    a domain-local array increment: no lock, no allocation, no atomic.
+    Histogram recording is one array increment into a fixed log-linear
+    bucket layout (HDR-style); quantiles cost nothing until
     {!Snapshot.take}.
 
     {b Concurrency.} Each domain records into its own shard
@@ -31,22 +33,11 @@
     [chimera_<what>_total] for counters, Prometheus style) at module-init
     time; registering an existing name returns the existing metric. *)
 
-val enabled : bool ref
-(** The one-branch guard. Emission sites must read it before touching a
-    metric: [if !Metrics.enabled then Metrics.add c n]. Use
-    {!enable}/{!disable} rather than setting it directly. *)
-
-val enable : unit -> unit
-(** Turn recording on. Does not clear accumulated values — call {!reset}
-    for a fresh window. *)
-
-val disable : unit -> unit
-
 val reset : unit -> unit
 (** Zero every shard of every metric. Call only between parallel sections
     (no domain may be recording concurrently); the bench driver resets at
-    the same points it resets the machine's observed counters, which keeps
-    the snapshot totals equal to them. *)
+    every experiment boundary so each row reads its own window. Readers
+    that cannot own the registry take a {!Snapshot.delta} instead. *)
 
 (** {1 Metric kinds} *)
 

@@ -549,7 +549,7 @@ let process_batch t dis live plan =
                   if nop then ignore (Encode.write scratch 8 Inst.C_nop);
                   write_code t si.addr scratch (space_end - si.addr);
                   t.st.sites <- t.st.sites + 1;
-                  if !Metrics.enabled then Metrics.incr m_rw_sites;
+                  Metrics.incr m_rw_sites;
                   if !Obs.enabled then
                     Obs.emit (Obs.Rw_site { site = si.addr; style = "smile" })
               | None ->
@@ -559,7 +559,7 @@ let process_batch t dis live plan =
                   Fault_table.add t.trap_tbl ~key:si.addr
                     ~redirect:(b + Codebuf.label_offset cb (entry_label si.addr));
                   t.st.trap_entries <- t.st.trap_entries + 1;
-                  if !Metrics.enabled then Metrics.incr m_rw_sites;
+                  Metrics.incr m_rw_sites;
                   if !Obs.enabled then
                     Obs.emit (Obs.Rw_site { site = si.addr; style = "trap" }))
           | Etrap_entry ->
@@ -568,7 +568,7 @@ let process_batch t dis live plan =
               Fault_table.add t.trap_tbl ~key:si.addr
                 ~redirect:(b + Codebuf.label_offset cb (entry_label si.addr));
               t.st.trap_entries <- t.st.trap_entries + 1;
-              if !Metrics.enabled then Metrics.incr m_rw_sites;
+              Metrics.incr m_rw_sites;
               if !Obs.enabled then
                 Obs.emit (Obs.Rw_site { site = si.addr; style = "trap" })
           | Econsumed -> ())
@@ -825,7 +825,7 @@ let process_greg_site t dis cfg live (sources : Disasm.insn list) =
             write_code t s.addr scratch 4;
             Fault_table.add t.trap_tbl ~key:s.addr ~redirect:(b + off);
             t.st.odd_entry_traps <- t.st.odd_entry_traps + 1;
-            if !Metrics.enabled then Metrics.incr m_rw_sites;
+            Metrics.incr m_rw_sites;
             if !Obs.enabled then
               Obs.emit (Obs.Rw_site { site = s.addr; style = "trap" })
         | exception Not_found -> ()
@@ -842,7 +842,7 @@ let process_greg_site t dis cfg live (sources : Disasm.insn list) =
         write_code t si.addr scratch 4;
         Fault_table.add t.trap_tbl ~key:si.addr ~redirect:b;
         t.st.trap_entries <- t.st.trap_entries + 1;
-        if !Metrics.enabled then Metrics.incr m_rw_sites;
+        Metrics.incr m_rw_sites;
         if !Obs.enabled then
           Obs.emit (Obs.Rw_site { site = si.addr; style = "trap" });
         List.iter
@@ -881,7 +881,7 @@ let process_greg_site t dis cfg live (sources : Disasm.insn list) =
           Hashtbl.replace t.overwritten ld.Disasm.addr ();
           t.gregs <- (ld.Disasm.addr, rd) :: t.gregs;
           t.st.sites <- t.st.sites + 1;
-          if !Metrics.enabled then Metrics.incr m_rw_sites;
+          Metrics.incr m_rw_sites;
           if !Obs.enabled then
             Obs.emit (Obs.Rw_site { site = lui.Disasm.addr; style = "greg" });
           add_table cb b ld.Disasm.addr;
@@ -924,7 +924,7 @@ let process_upgrade t dis live (c : Upgrade.candidate) =
   Smile.write scratch ~off:0 ~pc:c.c_addr ~target:b ~compressed:t.compressed;
   write_code t c.c_addr scratch 8;
   t.st.sites <- t.st.sites + 1;
-  if !Metrics.enabled then Metrics.incr m_rw_sites;
+  Metrics.incr m_rw_sites;
   if !Obs.enabled then
     Obs.emit (Obs.Rw_site { site = c.c_addr; style = "smile" });
   (match Codebuf.label_offset cb (site_label (c.c_addr + 4)) with

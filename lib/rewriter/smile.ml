@@ -56,7 +56,7 @@ let write buf ~off ~pc ~target ~compressed =
           (Printf.sprintf
              "Smile.write: imm20 0x%x not compressed-safe (pc 0x%x, target 0x%x)"
              imm20 pc target);
-      if !Metrics.enabled then Metrics.incr m_smile_writes;
+      Metrics.incr m_smile_writes;
       if !Obs.enabled then Obs.emit (Obs.Smile_write { pc; target });
       let n1 = Encode.write buf off (auipc_inst ~imm20) in
       ignore (Encode.write buf (off + n1) jalr_inst)

@@ -95,7 +95,7 @@ let handlers t =
   let gp_value = Chbp.gp_value t.ctx in
   let recover m ~site ~cause redirect =
     Counters.fault_at t.counters ~site;
-    if !Metrics.enabled then Metrics.incr m_faults_recovered;
+    Metrics.incr m_faults_recovered;
     if !Obs.enabled then Obs.emit (Obs.Fault_recovered { site; redirect; cause });
     (match Machine.profile m with
     | Some p -> Profile.note_recovered p
@@ -126,7 +126,7 @@ let handlers t =
                 match Fault_table.find table jaddr with
                 | Some redirect ->
                     Counters.fault_at t.counters ~site:jaddr;
-                    if !Metrics.enabled then Metrics.incr m_faults_recovered;
+                    Metrics.incr m_faults_recovered;
                     if !Obs.enabled then
                       Obs.emit
                         (Obs.Fault_recovered
@@ -159,7 +159,7 @@ let handlers t =
     match Fault_table.find traps pc with
     | Some target ->
         Counters.trap_at t.counters ~site:pc;
-        if !Metrics.enabled then Metrics.incr m_traps;
+        Metrics.incr m_traps;
         if !Obs.enabled then Obs.emit (Obs.Trap_taken { site = pc; target });
         (match Machine.profile m with
         | Some p -> Profile.note_trap p

@@ -94,7 +94,7 @@ let run config tasks =
   List.iter
     (fun t ->
       let item = { task = t; forced_ext = false } in
-      if !Metrics.enabled then Metrics.gauge_add m_queue_depth 1;
+      Metrics.gauge_add m_queue_depth 1;
       if t.t_prefer_ext then Q.push ext_q item else Q.push base_q item)
     tasks;
   let cores =
@@ -109,7 +109,7 @@ let run config tasks =
   let accelerated = ref 0 and migrations = ref 0 and completed = ref 0 in
   (* what work could the given core take right now? *)
   let stolen core it =
-    if !Metrics.enabled then Metrics.incr m_steals;
+    Metrics.incr m_steals;
     if !Obs.enabled then
       Obs.emit
         (Obs.Sched_steal
@@ -182,7 +182,7 @@ let run config tasks =
           match take_for core with
           | None -> continue_ := false
           | Some item -> (
-              if !Metrics.enabled then Metrics.gauge_add m_queue_depth (-1);
+              Metrics.gauge_add m_queue_depth (-1);
               match item.task.t_run core.cls with
               | Done { cycles; accelerated = acc } ->
                   core.clock <- core.clock + cycles;
@@ -193,10 +193,8 @@ let run config tasks =
                   core.clock <- core.clock + cycles + config.migrate_cost;
                   core.busy <- core.busy + cycles + config.migrate_cost;
                   incr migrations;
-                  if !Metrics.enabled then begin
-                    Metrics.incr m_migrates;
-                    Metrics.gauge_add m_queue_depth 1
-                  end;
+                  Metrics.incr m_migrates;
+                  Metrics.gauge_add m_queue_depth 1;
                   if !Obs.enabled then
                     Obs.emit
                       (Obs.Sched_migrate { task = item.task.t_id; cycles });
@@ -291,10 +289,8 @@ module Pool = struct
       | Some (j, stolen) ->
           t.queued <- t.queued - 1;
           Mutex.unlock t.mu;
-          if !Metrics.enabled then begin
-            Metrics.gauge_add m_queue_depth (-1);
-            if stolen then Metrics.incr m_steals
-          end;
+          Metrics.gauge_add m_queue_depth (-1);
+          if stolen then Metrics.incr m_steals;
           (* A raising job must not kill the worker or wedge [drain];
              callers that care about failures capture them in the closure
              (lib/serve folds them into the outcome). *)
@@ -351,7 +347,7 @@ module Pool = struct
     t.pending <- t.pending + 1;
     Condition.signal t.nonempty;
     Mutex.unlock t.mu;
-    if !Metrics.enabled then Metrics.gauge_add m_queue_depth 1
+    Metrics.gauge_add m_queue_depth 1
 
   let queue_depth t =
     Mutex.lock t.mu;

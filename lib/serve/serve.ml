@@ -239,11 +239,9 @@ let finish t ~tenant ~id ~t_admit ~t_start ~stop:(s, exit_code) ~retired
       o_latency_us = int_of_float ((t_end -. t_admit) *. 1e6);
     }
   in
-  if !Metrics.enabled then begin
-    Metrics.incr m_done;
-    Metrics.add (tenant_counter tenant) retired;
-    Metrics.observe m_latency o.o_latency_us
-  end;
+  Metrics.incr m_done;
+  Metrics.add (tenant_counter tenant) retired;
+  Metrics.observe m_latency o.o_latency_us;
   Mutex.lock t.mu;
   t.outcomes <- o :: t.outcomes;
   t.completed <- t.completed + 1;
@@ -259,14 +257,14 @@ let submit t ~tenant ?(prefer_ext = false) ?(isa = Ext.rv64gc)
   in
   if saturated then begin
     t.rejected <- t.rejected + 1;
-    if !Metrics.enabled then Metrics.incr m_reject;
+    Metrics.incr m_reject;
     if !Obs.enabled then
       Obs.emit (Obs.Serve_reject { tenant; id; reason = "saturated" });
     Error `Saturated
   end
   else begin
     t.admitted <- t.admitted + 1;
-    if !Metrics.enabled then Metrics.incr m_admit;
+    Metrics.incr m_admit;
     if !Obs.enabled then Obs.emit (Obs.Serve_admit { tenant; id });
     let t_admit = Unix.gettimeofday () in
     let body _cls =

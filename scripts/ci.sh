@@ -36,7 +36,11 @@ trace=$(mktemp /tmp/chimera-trace-XXXXXX.jsonl)
 profdir=$(mktemp -d /tmp/chimera-prof-XXXXXX)
 trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir"' EXIT
 engine_exps="table1 fig13 table2 table3 ablation micro"
-dune exec bench/main.exe -- $engine_exps -q --json "$json_super"
+# The tiered run is pinned to -j 1 because the metrics smoke below
+# compares its fig13 row field for field, and TLB counts depend on
+# scheduling under -j N (a mapping in any cell bumps the process-wide
+# permission epoch and flushes every other cell's TLB).
+dune exec bench/main.exe -- $engine_exps -q -j 1 --json "$json_super"
 dune exec bench/main.exe -- $engine_exps -q --no-tier --no-ic --json "$json_untiered"
 dune exec bench/main.exe -- $engine_exps -q --no-ic --json "$json_noic"
 dune exec bench/main.exe -- $engine_exps -q --no-ir --json "$json_noir"
@@ -169,15 +173,16 @@ fi
 echo "ci: --no-ir cache gates passed (hit_rate=$hit_noir)"
 
 # Metrics smoke: a quick fig13 with the always-on metrics registry
-# exporting at exit. The driver already hard-checks the snapshot totals
-# against the machine counters (non-zero exit on divergence); re-assert
-# from the artifacts that the exposition is well-formed Prometheus text,
-# that the Prometheus and JSON views agree on retired, and that the
-# health watchdog found every rule healthy.
+# exporting at exit. Assert from the artifacts that the exposition is
+# well-formed Prometheus text, that the Prometheus and JSON views agree on
+# retired, that the health watchdog found every rule healthy, and that
+# --metrics only chooses whether to write the dump: the fig13 row must be
+# identical to the one the tiered run above produced without it, except
+# for the wall-clock fields.
 metrics_prom=$(mktemp /tmp/chimera-metrics-XXXXXX.prom)
 json_metrics=$(mktemp /tmp/chimera-metrics-XXXXXX.json)
 trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$cachedir_noir" "$metrics_prom" "$json_metrics"' EXIT
-dune exec bench/main.exe -- fig13 -q --json "$json_metrics" --metrics "$metrics_prom"
+dune exec bench/main.exe -- fig13 -q -j 1 --json "$json_metrics" --metrics "$metrics_prom"
 grep -q '^# TYPE chimera_retired_total counter$' "$metrics_prom"
 grep -q '^# TYPE chimera_translate_ns histogram$' "$metrics_prom"
 grep -q 'le="+Inf"' "$metrics_prom"
@@ -193,7 +198,21 @@ if ! grep -q '^chimera_healthy 1$' "$metrics_prom"; then
   grep '^chimera_health' "$metrics_prom" >&2
   exit 1
 fi
-echo "ci: metrics smoke passed (retired=$retired_prom, watchdog healthy)"
+fig13_row() {
+  grep '"name": "fig13"' "$1" \
+    | sed -E -e 's/"(wall_s|mips|translate_s|translate_p[0-9]+_ns)": [0-9.]*/"\1": _/g' \
+        -e 's/,$//'
+}
+row_plain=$(fig13_row "$json_super")
+row_metrics=$(fig13_row "$json_metrics")
+test -n "$row_plain"
+if [ "$row_plain" != "$row_metrics" ]; then
+  echo "ci: --metrics changed the fig13 row:" >&2
+  echo "  without: $row_plain" >&2
+  echo "  with:    $row_metrics" >&2
+  exit 1
+fi
+echo "ci: metrics smoke passed (retired=$retired_prom, watchdog healthy, row unchanged)"
 
 # Serve smoke: a short seeded open-loop run of the multi-tenant server
 # over a worker pool and a shared translation cache. The driver hard-fails
@@ -238,12 +257,11 @@ fi
 echo "ci: serve smoke passed ($admitted requests pooled, replicas identical, watchdog healthy)"
 
 # Perf-regression gate: diff a fresh full fig13 against the committed
-# reference run — with metrics enabled, so the gate also proves the
-# always-on registry costs no measurable wall time. retired must match
+# reference run, writing the metrics dump on the way. retired must match
 # exactly; wall time gets a generous tolerance (shared CI runners are
 # noisy), hit rates -0.02 absolute, events_dropped at most baseline's.
 # BENCH_PR9's fig13 row predates the serving fields, so the gate also
 # proves old baselines parse (absent option fields are skipped).
 dune exec bench/main.exe -- fig13 --json "$json_full" \
   --metrics "$metrics_prom" --compare BENCH_PR9.json --wall-tol 2.0
-echo "ci: regression gate passed against BENCH_PR9.json (metrics on)"
+echo "ci: regression gate passed against BENCH_PR9.json"

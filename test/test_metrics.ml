@@ -4,7 +4,10 @@
    - recording sharded over 4 domains merges to the same snapshot as the
      same work on 1 domain — counters exactly, histograms bucket-wise
      (mirroring test_obs's counter-merge test);
-   - disabled recording is a no-op;
+   - the machine's process-wide counters (retired, dispatches, chain hits,
+     side exits, inline caches, translations, TLB) are the same whether a
+     fixed set of guests runs on 1 domain or on 4, and retired equals the
+     sum of the machines' own counts;
    - registry identity: same name returns the same metric, kind clashes
      and negative counter increments are rejected;
    - snapshot deltas subtract pointwise;
@@ -17,9 +20,8 @@ let g_level = Metrics.gauge ~help:"test" "chimera_test_level"
 let h_lat = Metrics.histogram ~help:"test" "chimera_test_lat_ns"
 
 let with_metrics f =
-  Metrics.enable ();
   Metrics.reset ();
-  Fun.protect ~finally:Metrics.disable f
+  f ()
 
 (* --- bucket layout ------------------------------------------------------------ *)
 
@@ -107,12 +109,9 @@ let work seed =
 let test_parallel_merge () =
   let seeds = List.init 8 (fun i -> 7000 + (137 * i)) in
   let snap_of run =
-    Metrics.enable ();
     Metrics.reset ();
     run ();
-    let s = Metrics.Snapshot.take () in
-    Metrics.disable ();
-    s
+    Metrics.Snapshot.take ()
   in
   let seq = snap_of (fun () -> List.iter work seeds) in
   let par =
@@ -158,21 +157,69 @@ let test_parallel_merge () =
     (Metrics.Snapshot.buckets hs)
     (Metrics.Snapshot.buckets hp)
 
-(* --- off is a no-op ------------------------------------------------------------- *)
+(* --- machine counters under -j ---------------------------------------------- *)
 
-let test_disabled_noop () =
-  with_metrics (fun () ->
-      Metrics.incr c_work;
-      Metrics.observe h_lat 42);
-  (* disabled now: emission-site discipline is [if !Metrics.enabled then ...],
-     but the recording functions themselves must also be safe to call *)
-  Alcotest.(check bool) "disabled" false !Metrics.enabled;
+(* The machine's process-wide counters are sums of per-machine counts, so a
+   fixed set of guests must add the same totals whether it runs on 1 domain
+   or on 4. Every guest is loaded before any runs: a mapping change anywhere
+   in the process bumps the permission epoch and flushes every TLB, so the
+   TLB counts are only -j-independent while nothing maps concurrently. *)
+let engine_counters =
+  [ "chimera_retired_total"; "chimera_dispatches_total";
+    "chimera_chain_hits_total"; "chimera_side_exits_total";
+    "chimera_ic_hits_total"; "chimera_ic_misses_total";
+    "chimera_translations_total"; "chimera_tlb_hits_total" ]
+
+let guest_machines () =
+  List.map
+    (fun bin ->
+      let mem = Loader.load bin in
+      let m = Machine.create ~mem ~isa:Ext.rv64gcv () in
+      Machine.set_tiered m true;
+      Machine.set_inline_caches m true;
+      Loader.init_machine m bin;
+      m)
+    [ Programs.matmul ~name:"j-mm" `Ext ~n:16;
+      Programs.matmul ~name:"j-mm-base" `Base ~n:16;
+      Programs.branchy ~name:"j-branchy" ~rounds:40_000 ();
+      Programs.indirecty ~name:"j-indirecty" ~rounds:30_000 ();
+      Programs.fibonacci ~name:"j-fib" ~rounds:3000 ();
+      Programs.vecadd ~name:"j-vec" `Base ~n:200 ]
+
+let run_guests ~domains =
+  let items = Array.of_list (guest_machines ()) in
   let before = Metrics.Snapshot.take () in
-  let v = Metrics.Snapshot.counter_value before "chimera_test_work_total" in
-  if !Metrics.enabled then Metrics.incr c_work;
-  let after = Metrics.Snapshot.take () in
-  Alcotest.(check int) "guarded increment recorded nothing" v
-    (Metrics.Snapshot.counter_value after "chimera_test_work_total")
+  let next = Atomic.make 0 in
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < Array.length items then begin
+      (match Machine.run ~fuel:10_000_000 items.(i) with
+      | Machine.Exited _ -> ()
+      | _ -> Alcotest.fail "guest did not exit");
+      worker ()
+    end
+  in
+  let doms = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  List.iter Domain.join doms;
+  let d = Metrics.Snapshot.delta ~cur:(Metrics.Snapshot.take ()) ~prev:before in
+  let sum = Array.fold_left (fun a m -> a + Machine.retired m) 0 items in
+  (List.map (fun n -> (n, Metrics.Snapshot.counter_value d n)) engine_counters, sum)
+
+let test_machine_counters_across_j () =
+  let seq, seq_sum = run_guests ~domains:1 in
+  let par, par_sum = run_guests ~domains:4 in
+  List.iter2
+    (fun (name, a) (_, b) -> Alcotest.(check int) (name ^ " equal across -j") a b)
+    seq par;
+  Alcotest.(check int) "-j 1 retired = sum of machines" seq_sum
+    (List.assoc "chimera_retired_total" seq);
+  Alcotest.(check int) "-j 4 retired = sum of machines" par_sum
+    (List.assoc "chimera_retired_total" par);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " moved") true (List.assoc name seq > 0))
+    engine_counters
 
 (* --- registry ------------------------------------------------------------------- *)
 
@@ -339,11 +386,9 @@ let test_watchdog_floors () =
         | _ -> ()
       done);
   Fun.protect ~finally:Obs.disable (fun () ->
-      Metrics.enable ();
       Metrics.reset ();
-      Fun.protect ~finally:Metrics.disable (fun () ->
-          Metrics.add m_retired 2_000_000;
-          ignore (eval ()));
+      Metrics.add m_retired 2_000_000;
+      ignore (eval ());
       Obs.disable ());
   Alcotest.(check bool) "degraded rule emitted a typed event" true
     (List.mem "bad:dispatch_stall" !seen);
@@ -358,11 +403,11 @@ let () =
             [ prop_index_in_own_bucket; prop_quantile_error_bounded ]);
       ("merge",
        [ Alcotest.test_case "-j 1 vs -j 4 snapshots identical" `Quick
-           test_parallel_merge ]);
+           test_parallel_merge;
+         Alcotest.test_case "machine counters equal on 1 and 4 domains" `Quick
+           test_machine_counters_across_j ]);
       ("registry",
-       [ Alcotest.test_case "disabled recording is a no-op" `Quick
-           test_disabled_noop;
-         Alcotest.test_case "names, kinds, negative amounts" `Quick test_registry;
+       [ Alcotest.test_case "names, kinds, negative amounts" `Quick test_registry;
          Alcotest.test_case "snapshot delta" `Quick test_delta ]);
       ("exposition",
        [ Alcotest.test_case "prometheus + json carry the values" `Quick

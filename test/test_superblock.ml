@@ -143,9 +143,11 @@ let test_branchy () =
     tri ~fuel "branchy sweep" bin
   done;
   (* the superblock machinery must actually fire on this workload *)
-  Machine.reset_observed_superblock ();
+  let before = Metrics.Snapshot.take () in
   ignore (run ~engine:true ~super:true ~fuel:100_000 bin);
-  let side_exits, fused = Machine.observed_superblock () in
+  let d = Metrics.Snapshot.delta ~cur:(Metrics.Snapshot.take ()) ~prev:before in
+  let side_exits = Metrics.Snapshot.counter_value d "chimera_side_exits_total" in
+  let fused = Metrics.Snapshot.counter_value d "chimera_fused_total" in
   Alcotest.(check bool) "side exits observed" true (side_exits > 0);
   Alcotest.(check bool) "fused pairs observed" true (fused > 0)
 
