@@ -4,7 +4,7 @@ let of_int n =
   if n < 0 || n > 31 then invalid_arg (Printf.sprintf "Reg.of_int: %d" n);
   n
 
-let to_int r = r
+external to_int : t -> int = "%identity"
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 let hash (r : t) = r
@@ -64,7 +64,7 @@ let v_of_int n =
   if n < 0 || n > 31 then invalid_arg (Printf.sprintf "Reg.v_of_int: %d" n);
   n
 
-let v_to_int v = v
+external v_to_int : v -> int = "%identity"
 let v_equal (a : v) (b : v) = a = b
 let v_name v = Printf.sprintf "v%d" v
 let pp_v fmt v = Format.pp_print_string fmt (v_name v)

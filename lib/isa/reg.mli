@@ -11,7 +11,9 @@ type t
 val of_int : int -> t
 (** [of_int n] is register [xn]. @raise Invalid_argument unless [0 <= n < 32]. *)
 
-val to_int : t -> int
+external to_int : t -> int = "%identity"
+(** An external so the register index costs no call on the simulator's
+    hot path, where modules are not inlined across. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
@@ -80,7 +82,7 @@ type v
 val v_of_int : int -> v
 (** @raise Invalid_argument unless [0 <= n < 32]. *)
 
-val v_to_int : v -> int
+external v_to_int : v -> int = "%identity"
 val v_equal : v -> v -> bool
 val v_name : v -> string
 val pp_v : Format.formatter -> v -> unit

@@ -69,7 +69,9 @@ and t = {
   mutable isa : Ext.t;
   costs : Costs.t;
   vlen : int;
-  xregs : int64 array;
+  xregs : bytes;
+      (** the integer register file: x[i] is the 64-bit slot at byte
+          offset [8 * i], read and written unboxed (see {!rget}) *)
   vregs : bytes;
   mutable vl : int;
   mutable vsew : Inst.sew;
@@ -343,7 +345,7 @@ let create ?(vlen = 32) ?(costs = Costs.default) ~mem ~isa () =
     isa;
     costs;
     vlen;
-    xregs = Array.make 32 0L;
+    xregs = Bytes.make 256 '\000';
     vregs = Bytes.make (32 * vlen) '\000';
     vl = 0;
     vsew = Inst.E64;
@@ -396,13 +398,20 @@ let costs t = t.costs
 let vlen t = t.vlen
 let pc t = t.pc
 let set_pc t pc = t.pc <- pc
-(* [Reg.t] is abstract and range-checked at construction (0..31), so the
-   register file never needs a bounds check on the hot path. *)
-let get_reg t r = Array.unsafe_get t.xregs (Reg.to_int r)
+(* Register slots are addressed by byte offset ([roff], resolved at
+   translation time by the closure compiler). [Reg.t] is range-checked at
+   construction (0..31), so the unchecked 64-bit primitives never leave the
+   256-byte file. Through these inlined accessors a register value stays an
+   unboxed machine word from read to write: no [Int64] box, and no write
+   barrier, since a [bytes] store is not a heap-pointer store. *)
+external reg_load : bytes -> int -> int64 = "%caml_bytes_get64u"
+external reg_store : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let set_reg t r v =
-  let i = Reg.to_int r in
-  if i <> 0 then Array.unsafe_set t.xregs i v
+let[@inline] roff r = Reg.to_int r lsl 3
+let[@inline] rget t o = reg_load t.xregs o
+let[@inline] rset t o v = if o <> 0 then reg_store t.xregs o v
+let[@inline] get_reg t r = rget t (roff r)
+let[@inline] set_reg t r v = rset t (roff r) v
 
 let get_vreg t v = Bytes.sub t.vregs (Reg.v_to_int v * t.vlen) t.vlen
 
@@ -484,16 +493,46 @@ let sext32 = Tir.sext32
 let alu = Tir.alu
 let alui = Tir.alui
 
-let branch_taken c a b =
-  match c with
-  | Inst.Beq -> Int64.equal a b
-  | Inst.Bne -> not (Int64.equal a b)
-  | Inst.Blt -> Int64.compare a b < 0
-  | Inst.Bge -> Int64.compare a b >= 0
-  | Inst.Bltu -> Int64.unsigned_compare a b < 0
-  | Inst.Bgeu -> Int64.unsigned_compare a b >= 0
+(* Comparisons at type [int64] compile to machine compares of unboxed
+   words; the [Int64] module's [equal]/[compare]/[unsigned_compare] are
+   calls that box their arguments. *)
+let[@inline] ult (a : int64) b =
+  Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
 
-let addr_of v = Int64.to_int v
+let[@inline] branch_taken c (a : int64) b =
+  match c with
+  | Inst.Beq -> a = b
+  | Inst.Bne -> a <> b
+  | Inst.Blt -> a < b
+  | Inst.Bge -> a >= b
+  | Inst.Bltu -> ult a b
+  | Inst.Bgeu -> not (ult a b)
+
+let[@inline] addr_of v = Int64.to_int v
+let page_mask = Memory.page_size - 1
+
+(* 32-bit sign extension of a [0, 2^32) int — the load_u32 result — in
+   native arithmetic, with no Int64 intermediate. *)
+let sext32_int v = (v lxor 0x8000_0000) - 0x8000_0000
+
+(* 8-byte data accesses. The in-page case reads or writes the page payload
+   that {!Memory.read_data}/{!Memory.write_data} return, so the value stays
+   unboxed when these are inlined; a page-straddling access goes through
+   {!Memory}'s byte-wise path. Either way the TLB accounting and the fault
+   equal those of [Memory.load_u64]/[Memory.store_u64]. A load writes its
+   register slot in each arm: a value chosen by an [if] whose other arm is
+   a call would be boxed. *)
+let[@inline] rload64 t d m a =
+  let off = a land page_mask in
+  if off <= Memory.page_size - 8 then
+    rset t d (Bytes.get_int64_le (Memory.read_data m a) off)
+  else rset t d (Memory.load_u64 m a)
+
+let[@inline] store64 m a v =
+  let off = a land page_mask in
+  if off <= Memory.page_size - 8 then
+    Bytes.set_int64_le (Memory.write_data m a) off v
+  else Memory.store_u64 m a v
 
 let load_value mem width unsigned addr =
   match (width, unsigned) with
@@ -514,7 +553,7 @@ let store_value mem width addr v =
 
 (* Vector element accessors at the current sew. *)
 
-let vget t vr i =
+let[@inline] vget t vr i =
   let base = (Reg.v_to_int vr * t.vlen) in
   match t.vsew with
   | Inst.E64 -> Bytes.get_int64_le t.vregs (base + (i * 8))
@@ -522,7 +561,7 @@ let vget t vr i =
   | Inst.E16 -> Int64.of_int (Encode.sext (Bytes.get_uint16_le t.vregs (base + (i * 2))) 16)
   | Inst.E8 -> Int64.of_int (Encode.sext (Bytes.get_uint8 t.vregs (base + i)) 8)
 
-let vset t vr i v =
+let[@inline] vset t vr i v =
   let base = (Reg.v_to_int vr * t.vlen) in
   match t.vsew with
   | Inst.E64 -> Bytes.set_int64_le t.vregs (base + (i * 8)) v
@@ -530,7 +569,7 @@ let vset t vr i v =
   | Inst.E16 -> Bytes.set_uint16_le t.vregs (base + (i * 2)) (Int64.to_int v land 0xFFFF)
   | Inst.E8 -> Bytes.set_uint8 t.vregs (base + i) (Int64.to_int v land 0xFF)
 
-let vop_apply op acc a b =
+let[@inline] vop_apply op acc a b =
   match op with
   | Inst.Vadd -> Int64.add a b
   | Inst.Vsub -> Int64.sub a b
@@ -576,53 +615,54 @@ let fetch_decode t = decode_at t t.pc
    handlers must see. *)
 type event = Enone | Eebreak of int | Eecall | Echeck of Reg.t * Reg.t * int
 
+let jump_aligned t target =
+  if target land 1 <> 0 || (target land 3 <> 0 && not (Ext.mem Ext.C t.isa)) then
+    raise (Efault (Fault.Misaligned_fetch { pc = t.pc; target }));
+  t.pc <- target
+
 let exec t inst size =
   let next = t.pc + size in
-  let get = get_reg t and set = set_reg t in
-  let jump_aligned target =
-    if target land 1 <> 0 || (target land 3 <> 0 && not (Ext.mem Ext.C t.isa)) then
-      raise (Efault (Fault.Misaligned_fetch { pc = t.pc; target }));
-    t.pc <- target
-  in
   match inst with
   | Inst.Lui (rd, imm20) ->
-      set rd (Int64.of_int (imm20 lsl 12));
+      set_reg t rd (Int64.of_int (imm20 lsl 12));
       t.pc <- next;
       Enone
   | Inst.Auipc (rd, imm20) ->
-      set rd (Int64.of_int (t.pc + (imm20 lsl 12)));
+      set_reg t rd (Int64.of_int (t.pc + (imm20 lsl 12)));
       t.pc <- next;
       Enone
   | Inst.Jal (rd, off) ->
-      set rd (Int64.of_int next);
-      jump_aligned (t.pc + off);
+      set_reg t rd (Int64.of_int next);
+      jump_aligned t (t.pc + off);
       Enone
   | Inst.Jalr (rd, rs1, imm) ->
-      let target = addr_of (Int64.add (get rs1) (Int64.of_int imm)) land lnot 1 in
-      set rd (Int64.of_int next);
+      let target = addr_of (Int64.add (get_reg t rs1) (Int64.of_int imm)) land lnot 1 in
+      set_reg t rd (Int64.of_int next);
       t.indirect_retired <- t.indirect_retired + 1;
-      jump_aligned target;
+      jump_aligned t target;
       Enone
   | Inst.Branch (c, rs1, rs2, off) ->
-      if branch_taken c (get rs1) (get rs2) then jump_aligned (t.pc + off)
+      if branch_taken c (get_reg t rs1) (get_reg t rs2) then jump_aligned t (t.pc + off)
       else t.pc <- next;
       Enone
   | Inst.Load { width; unsigned; rd; rs1; imm } ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int imm)) in
-      set rd (load_value t.cur.vmem width unsigned addr);
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int imm)) in
+      if width = Inst.D then rload64 t (roff rd) t.cur.vmem addr
+      else set_reg t rd (load_value t.cur.vmem width unsigned addr);
       t.pc <- next;
       Enone
   | Inst.Store { width; rs2; rs1; imm } ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int imm)) in
-      store_value t.cur.vmem width addr (get rs2);
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int imm)) in
+      if width = Inst.D then store64 t.cur.vmem addr (get_reg t rs2)
+      else store_value t.cur.vmem width addr (get_reg t rs2);
       t.pc <- next;
       Enone
   | Inst.Op (op, rd, rs1, rs2) ->
-      set rd (alu op (get rs1) (get rs2));
+      set_reg t rd (alu op (get_reg t rs1) (get_reg t rs2));
       t.pc <- next;
       Enone
   | Inst.Opi (op, rd, rs1, imm) ->
-      set rd (alui op (get rs1) imm);
+      set_reg t rd (alui op (get_reg t rs1) imm);
       t.pc <- next;
       Enone
   | Inst.Ecall -> Eecall
@@ -632,79 +672,80 @@ let exec t inst size =
       Enone
   | Inst.C_ebreak -> Eebreak 2
   | Inst.C_addi (rd, imm) ->
-      set rd (Int64.add (get rd) (Int64.of_int imm));
+      set_reg t rd (Int64.add (get_reg t rd) (Int64.of_int imm));
       t.pc <- next;
       Enone
   | Inst.C_li (rd, imm) ->
-      set rd (Int64.of_int imm);
+      set_reg t rd (Int64.of_int imm);
       t.pc <- next;
       Enone
   | Inst.C_mv (rd, rs2) ->
-      set rd (get rs2);
+      set_reg t rd (get_reg t rs2);
       t.pc <- next;
       Enone
   | Inst.C_add (rd, rs2) ->
-      set rd (Int64.add (get rd) (get rs2));
+      set_reg t rd (Int64.add (get_reg t rd) (get_reg t rs2));
       t.pc <- next;
       Enone
   | Inst.C_j off ->
-      jump_aligned (t.pc + off);
+      jump_aligned t (t.pc + off);
       Enone
   | Inst.C_jr rs1 ->
       t.indirect_retired <- t.indirect_retired + 1;
-      jump_aligned (addr_of (get rs1) land lnot 1);
+      jump_aligned t (addr_of (get_reg t rs1) land lnot 1);
       Enone
   | Inst.C_jalr rs1 ->
-      let target = addr_of (get rs1) land lnot 1 in
+      let target = addr_of (get_reg t rs1) land lnot 1 in
       t.indirect_retired <- t.indirect_retired + 1;
-      set Reg.ra (Int64.of_int next);
-      jump_aligned target;
+      set_reg t Reg.ra (Int64.of_int next);
+      jump_aligned t target;
       Enone
   | Inst.C_beqz (rs1, off) ->
-      if Int64.equal (get rs1) 0L then jump_aligned (t.pc + off) else t.pc <- next;
+      if get_reg t rs1 = 0L then jump_aligned t (t.pc + off) else t.pc <- next;
       Enone
   | Inst.C_bnez (rs1, off) ->
-      if Int64.equal (get rs1) 0L then t.pc <- next else jump_aligned (t.pc + off);
+      if get_reg t rs1 = 0L then t.pc <- next else jump_aligned t (t.pc + off);
       Enone
   | Inst.C_ld (rd, rs1, uimm) ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int uimm)) in
-      set rd (Memory.load_u64 t.cur.vmem addr);
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int uimm)) in
+      rload64 t (roff rd) t.cur.vmem addr;
       t.pc <- next;
       Enone
   | Inst.C_sd (rs2, rs1, uimm) ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int uimm)) in
-      Memory.store_u64 t.cur.vmem addr (get rs2);
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int uimm)) in
+      store64 t.cur.vmem addr (get_reg t rs2);
       t.pc <- next;
       Enone
   | Inst.C_slli (rd, sh) ->
-      set rd (Int64.shift_left (get rd) sh);
+      set_reg t rd (Int64.shift_left (get_reg t rd) sh);
       t.pc <- next;
       Enone
   | Inst.C_lw (rd, rs1, uimm) ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int uimm)) in
-      set rd (sext32 (Int64.of_int (Memory.load_u32 t.cur.vmem addr)));
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int uimm)) in
+      set_reg t rd (sext32 (Int64.of_int (Memory.load_u32 t.cur.vmem addr)));
       t.pc <- next;
       Enone
   | Inst.C_sw (rs2, rs1, uimm) ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int uimm)) in
-      Memory.store_u32 t.cur.vmem addr (Int64.to_int (Int64.logand (get rs2) 0xFFFFFFFFL));
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int uimm)) in
+      Memory.store_u32 t.cur.vmem addr
+        (Int64.to_int (Int64.logand (get_reg t rs2) 0xFFFFFFFFL));
       t.pc <- next;
       Enone
   | Inst.C_lui (rd, imm) ->
-      set rd (Int64.of_int (imm lsl 12));
+      set_reg t rd (Int64.of_int (imm lsl 12));
       t.pc <- next;
       Enone
   | Inst.C_addiw (rd, imm) ->
-      set rd (sext32 (Int64.add (get rd) (Int64.of_int imm)));
+      set_reg t rd (sext32 (Int64.add (get_reg t rd) (Int64.of_int imm)));
       t.pc <- next;
       Enone
   | Inst.C_andi (rd, imm) ->
-      set rd (Int64.logand (get rd) (Int64.of_int imm));
+      set_reg t rd (Int64.logand (get_reg t rd) (Int64.of_int imm));
       t.pc <- next;
       Enone
   | Inst.C_alu (op, rd, rs2) ->
-      let a = get rd and b = get rs2 in
-      set rd
+      let a = get_reg t rd and b = get_reg t rs2 in
+      set_reg t rd
         (match op with
         | Inst.Csub -> Int64.sub a b
         | Inst.Cxor -> Int64.logxor a b
@@ -720,13 +761,13 @@ let exec t inst size =
         if Reg.equal rs1 Reg.x0 then
           if Reg.equal rd Reg.x0 then t.vl else vlmax
         else
-          let v = get rs1 in
+          let v = get_reg t rs1 in
           if Int64.unsigned_compare v (Int64.of_int vlmax) > 0 then vlmax
           else Int64.to_int v
       in
       t.vsew <- sew;
       t.vl <- min avl vlmax;
-      set rd (Int64.of_int t.vl);
+      set_reg t rd (Int64.of_int t.vl);
       t.pc <- next;
       Enone
   | Inst.Vle (sew, vd, rs1) ->
@@ -734,7 +775,7 @@ let exec t inst size =
         raise
           (Efault
              (Fault.Illegal_instruction { pc = t.pc; reason = "vle sew/vtype mismatch" }));
-      let base = addr_of (get rs1) in
+      let base = addr_of (get_reg t rs1) in
       let sz = Inst.sew_bytes sew in
       for i = 0 to t.vl - 1 do
         vset t vd i (load_value t.cur.vmem
@@ -750,8 +791,8 @@ let exec t inst size =
         raise
           (Efault
              (Fault.Illegal_instruction { pc = t.pc; reason = "vlse sew/vtype mismatch" }));
-      let base = addr_of (get rs1) in
-      let stride = Int64.to_int (get rs2) in
+      let base = addr_of (get_reg t rs1) in
+      let stride = Int64.to_int (get_reg t rs2) in
       for i = 0 to t.vl - 1 do
         vset t vd i
           (load_value t.cur.vmem
@@ -767,7 +808,7 @@ let exec t inst size =
         raise
           (Efault
              (Fault.Illegal_instruction { pc = t.pc; reason = "vse sew/vtype mismatch" }));
-      let base = addr_of (get rs1) in
+      let base = addr_of (get_reg t rs1) in
       let sz = Inst.sew_bytes sew in
       for i = 0 to t.vl - 1 do
         store_value t.cur.vmem
@@ -783,8 +824,8 @@ let exec t inst size =
         raise
           (Efault
              (Fault.Illegal_instruction { pc = t.pc; reason = "vsse sew/vtype mismatch" }));
-      let base = addr_of (get rs1) in
-      let stride = Int64.to_int (get rs2) in
+      let base = addr_of (get_reg t rs1) in
+      let stride = Int64.to_int (get_reg t rs2) in
       for i = 0 to t.vl - 1 do
         store_value t.cur.vmem
           (match sew with
@@ -801,21 +842,21 @@ let exec t inst size =
       t.pc <- next;
       Enone
   | Inst.Vop_vx (op, vd, vs2, rs1) ->
-      let x = get rs1 in
+      let x = get_reg t rs1 in
       for i = 0 to t.vl - 1 do
         vset t vd i (vop_apply op (vget t vd i) (vget t vs2 i) x)
       done;
       t.pc <- next;
       Enone
   | Inst.Vmv_v_x (vd, rs1) ->
-      let x = get rs1 in
+      let x = get_reg t rs1 in
       for i = 0 to t.vl - 1 do
         vset t vd i x
       done;
       t.pc <- next;
       Enone
   | Inst.Vmv_x_s (rd, vs2) ->
-      set rd (vget t vs2 0);
+      set_reg t rd (vget t vs2 0);
       t.pc <- next;
       Enone
   | Inst.Vredsum (vd, vs2, vs1) ->
@@ -827,10 +868,10 @@ let exec t inst size =
       t.pc <- next;
       Enone
   | Inst.Xcheck_jalr (rd, rs1, imm) ->
-      let target = addr_of (Int64.add (get rs1) (Int64.of_int imm)) land lnot 1 in
+      let target = addr_of (Int64.add (get_reg t rs1) (Int64.of_int imm)) land lnot 1 in
       Echeck (rd, rs1, target)
   | Inst.P_add16 (rd, rs1, rs2) ->
-      let a = get rs1 and b = get rs2 in
+      let a = get_reg t rs1 and b = get_reg t rs2 in
       let lane i =
         let sh = 16 * i in
         let sum =
@@ -840,20 +881,21 @@ let exec t inst size =
         in
         Int64.shift_left (Int64.logand sum 0xFFFFL) sh
       in
-      set rd (Int64.logor (Int64.logor (lane 0) (lane 1)) (Int64.logor (lane 2) (lane 3)));
+      set_reg t rd
+        (Int64.logor (Int64.logor (lane 0) (lane 1)) (Int64.logor (lane 2) (lane 3)));
       t.pc <- next;
       Enone
   | Inst.P_smaqa (rd, rs1, rs2) ->
-      let a = get rs1 and b = get rs2 in
+      let a = get_reg t rs1 and b = get_reg t rs2 in
       let byte v i =
         (* sign-extended byte lane i *)
         Int64.shift_right (Int64.shift_left v (56 - (8 * i))) 56
       in
-      let acc = ref (get rd) in
+      let acc = ref (get_reg t rd) in
       for i = 0 to 7 do
         acc := Int64.add !acc (Int64.mul (byte a i) (byte b i))
       done;
-      set rd !acc;
+      set_reg t rd !acc;
       t.pc <- next;
       Enone
 
@@ -1039,6 +1081,7 @@ let compile_op t ~pc inst size =
   | Inst.Ecall | Inst.Ebreak | Inst.C_ebreak | Inst.Xcheck_jalr _ ->
       Tblock.Term
   | Inst.Jalr (rd, rs1, imm) ->
+      let o1 = roff rs1 and od = roff rd in
       (* with C in the capability set a jalr target (bit 0 cleared by the
          ISA) can never misalign, so the whole instruction is event-free:
          compile it to a direct terminator closure and skip the
@@ -1058,9 +1101,9 @@ let compile_op t ~pc inst size =
             (fun t ->
               (* target before link write: rd may alias rs1 *)
               let target =
-                addr_of (Int64.add (get_reg t rs1) im) land lnot 1
+                addr_of (Int64.add (rget t o1) im) land lnot 1
               in
-              set_reg t rd link;
+              rset t od link;
               t.indirect_retired <- t.indirect_retired + 1;
               t.pc <- target;
               retire_scalar t;
@@ -1070,29 +1113,31 @@ let compile_op t ~pc inst size =
             (fun t ->
               (* target before link write: rd may alias rs1 *)
               let target =
-                addr_of (Int64.add (get_reg t rs1) im) land lnot 1
+                addr_of (Int64.add (rget t o1) im) land lnot 1
               in
-              set_reg t rd link;
+              rset t od link;
               t.indirect_retired <- t.indirect_retired + 1;
               t.pc <- target;
               retire_scalar t)
   | Inst.C_jr rs1 ->
+      let o1 = roff rs1 in
       if not (Ext.mem Ext.C t.isa) then Tblock.Term
       else if t.ic_on then
         let pic = Some (ic_for t pc) in
         Tblock.Term_fn
           (fun t ->
             t.indirect_retired <- t.indirect_retired + 1;
-            t.pc <- addr_of (get_reg t rs1) land lnot 1;
+            t.pc <- addr_of (rget t o1) land lnot 1;
             retire_scalar t;
             t.pending_ic <- pic)
       else
         Tblock.Term_fn
           (fun t ->
             t.indirect_retired <- t.indirect_retired + 1;
-            t.pc <- addr_of (get_reg t rs1) land lnot 1;
+            t.pc <- addr_of (rget t o1) land lnot 1;
             retire_scalar t)
   | Inst.C_jalr rs1 ->
+      let o1 = roff rs1 and ora = roff Reg.ra in
       if not (Ext.mem Ext.C t.isa) then Tblock.Term
       else
         let link = Int64.of_int (pc + size) in
@@ -1101,9 +1146,9 @@ let compile_op t ~pc inst size =
           Tblock.Term_fn
             (fun t ->
               (* target before the ra write: rs1 may be ra *)
-              let target = addr_of (get_reg t rs1) land lnot 1 in
+              let target = addr_of (rget t o1) land lnot 1 in
               t.indirect_retired <- t.indirect_retired + 1;
-              set_reg t Reg.ra link;
+              rset t ora link;
               t.pc <- target;
               retire_scalar t;
               t.pending_ic <- pic)
@@ -1111,15 +1156,15 @@ let compile_op t ~pc inst size =
           Tblock.Term_fn
             (fun t ->
               (* target before the ra write: rs1 may be ra *)
-              let target = addr_of (get_reg t rs1) land lnot 1 in
+              let target = addr_of (rget t o1) land lnot 1 in
               t.indirect_retired <- t.indirect_retired + 1;
-              set_reg t Reg.ra link;
+              rset t ora link;
               t.pc <- target;
               retire_scalar t)
   | Inst.Jal (rd, off) ->
       (* jal linking ra is a call: kept as a terminator so the profiler's
          shadow call stack sees it; any other link register is inlined *)
-      let target = pc + off in
+      let target = pc + off and od = roff rd in
       if not (target_aligned t target) then Tblock.Term
       else if (not t.superblocks) || Reg.equal rd Reg.ra then
         (* calls (and the block engine's jumps) end the block, but the
@@ -1128,14 +1173,14 @@ let compile_op t ~pc inst size =
         let link = Int64.of_int (pc + size) in
         Tblock.Term_fn
           (fun t ->
-            set_reg t rd link;
+            rset t od link;
             t.pc <- target;
             retire_scalar t)
       else
         let link = Int64.of_int (pc + size) in
         Tblock.Jump
           ( (fun t ->
-              set_reg t rd link;
+              rset t od link;
               t.pc <- target;
               retire_scalar t),
             target )
@@ -1164,6 +1209,7 @@ let compile_op t ~pc inst size =
       if not (target_aligned t target) then Tblock.Term
       else begin
         let fall = pc + size in
+        let o1 = roff rs1 and o2 = roff rs2 in
         let as_term () =
           (* loop backedge, block engine, or a profile-guided cut:
              terminator, but both targets are static and aligned so it
@@ -1171,7 +1217,7 @@ let compile_op t ~pc inst size =
              slots, never side-exits) *)
           Tblock.Term_fn
             (fun t ->
-              if branch_taken c (get_reg t rs1) (get_reg t rs2) then
+              if branch_taken c (rget t o1) (rget t o2) then
                 t.pc <- target
               else t.pc <- fall;
               retire_scalar t)
@@ -1184,7 +1230,7 @@ let compile_op t ~pc inst size =
                fall-through leaves via the side exit *)
             Tblock.Jump
               ( (fun t ->
-                  if branch_taken c (get_reg t rs1) (get_reg t rs2) then begin
+                  if branch_taken c (rget t o1) (rget t o2) then begin
                     t.pc <- target;
                     retire_scalar t
                   end
@@ -1200,7 +1246,7 @@ let compile_op t ~pc inst size =
             else
               Tblock.Brcond
                 (fun t ->
-                  if branch_taken c (get_reg t rs1) (get_reg t rs2) then begin
+                  if branch_taken c (rget t o1) (rget t o2) then begin
                     t.pc <- target;
                     retire_scalar t;
                     raise_notrace Side_exit
@@ -1213,10 +1259,11 @@ let compile_op t ~pc inst size =
         Tblock.Term
       else begin
         let fall = pc + size in
+        let o1 = roff rs1 in
         let as_term () =
           Tblock.Term_fn
             (fun t ->
-              if Int64.equal (get_reg t rs1) 0L then t.pc <- target
+              if rget t o1 = 0L then t.pc <- target
               else t.pc <- fall;
               retire_scalar t)
         in
@@ -1224,7 +1271,7 @@ let compile_op t ~pc inst size =
         | Some true when t.superblocks && off > 0 ->
             Tblock.Jump
               ( (fun t ->
-                  if Int64.equal (get_reg t rs1) 0L then begin
+                  if rget t o1 = 0L then begin
                     t.pc <- target;
                     retire_scalar t
                   end
@@ -1240,7 +1287,7 @@ let compile_op t ~pc inst size =
             else
               Tblock.Brcond
                 (fun t ->
-                  if Int64.equal (get_reg t rs1) 0L then begin
+                  if rget t o1 = 0L then begin
                     t.pc <- target;
                     retire_scalar t;
                     raise_notrace Side_exit
@@ -1253,10 +1300,11 @@ let compile_op t ~pc inst size =
         Tblock.Term
       else begin
         let fall = pc + size in
+        let o1 = roff rs1 in
         let as_term () =
           Tblock.Term_fn
             (fun t ->
-              if Int64.equal (get_reg t rs1) 0L then t.pc <- fall
+              if rget t o1 = 0L then t.pc <- fall
               else t.pc <- target;
               retire_scalar t)
         in
@@ -1264,7 +1312,7 @@ let compile_op t ~pc inst size =
         | Some true when t.superblocks && off > 0 ->
             Tblock.Jump
               ( (fun t ->
-                  if Int64.equal (get_reg t rs1) 0L then begin
+                  if rget t o1 = 0L then begin
                     t.pc <- fall;
                     retire_scalar t;
                     raise_notrace Side_exit
@@ -1280,7 +1328,7 @@ let compile_op t ~pc inst size =
             else
               Tblock.Brcond
                 (fun t ->
-                  if Int64.equal (get_reg t rs1) 0L then retire_scalar t
+                  if rget t o1 = 0L then retire_scalar t
                   else begin
                     t.pc <- target;
                     retire_scalar t;
@@ -1308,271 +1356,276 @@ let compile_op t ~pc inst size =
 (* IR emission                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let page_mask = Memory.page_size - 1
-
-(* 32-bit sign extension of a [0, 2^32) int — the load_u32 result — in
-   native arithmetic, so a sign-extending word load boxes exactly once. *)
-let sext32_int v = (v lxor 0x8000_0000) - 0x8000_0000
-
 (* Compile one IR op to its effect closure — the only code generator for
-   straight-line instructions, optimized or not. Width, signedness and the
-   hottest ALU ops are picked here so the closure runs no per-execution
-   dispatch, with two allocation-saving idioms that are exact in native
-   [int]: effective addresses are computed as [Int64.to_int base + off]
-   (equal to the boxed Int64 sum modulo 2^63, which is all an address is),
-   and store data is masked in [int]. Fault-capable ops write their own pc
+   straight-line instructions, optimized or not. Width, signedness, the ALU
+   op and the register byte offsets are all resolved here, so the closure
+   runs no per-execution dispatch and keeps register values unboxed from
+   read to write (the cases that still call {!Tir.alu} are the rare
+   multiply-high, divide and bit-manipulation ops). Effective addresses are
+   computed as [Int64.to_int base + off], equal to the Int64 sum modulo
+   2^63, which is all an address is. Fault-capable ops write their own pc
    first so a fault reports the exact instruction; pure ops never touch
    pc. *)
 let emit_effect (o : Tir.op) : t -> unit =
   let pc = o.Tir.opc in
   match o.Tir.k with
   | Tir.Kdead -> fun _ -> ()
-  | Tir.Kconst (rd, v) -> fun t -> set_reg t rd v
-  | Tir.Kmv (rd, rs) -> fun t -> set_reg t rd (get_reg t rs)
+  | Tir.Kconst (rd, v) ->
+      let d = roff rd in
+      fun t -> rset t d v
+  | Tir.Kmv (rd, rs) ->
+      let d = roff rd and s = roff rs in
+      fun t -> rset t d (rget t s)
   | Tir.Kalu (op, rd, r1, r2) -> (
       (* W-type ops are exact in native [int]: the 32-bit truncated result
          only depends on the operands' low 32 bits, which [Int64.to_int]
-         (mod 2^63) preserves — one result box instead of a box per
-         intermediate Int64 step *)
+         (mod 2^63) preserves *)
+      let d = roff rd and a = roff r1 and b = roff r2 in
       match op with
-      | Inst.Add -> fun t -> set_reg t rd (Int64.add (get_reg t r1) (get_reg t r2))
-      | Inst.Sub -> fun t -> set_reg t rd (Int64.sub (get_reg t r1) (get_reg t r2))
-      | Inst.And ->
-          fun t -> set_reg t rd (Int64.logand (get_reg t r1) (get_reg t r2))
-      | Inst.Or -> fun t -> set_reg t rd (Int64.logor (get_reg t r1) (get_reg t r2))
-      | Inst.Xor ->
-          fun t -> set_reg t rd (Int64.logxor (get_reg t r1) (get_reg t r2))
+      | Inst.Add -> fun t -> rset t d (Int64.add (rget t a) (rget t b))
+      | Inst.Sub -> fun t -> rset t d (Int64.sub (rget t a) (rget t b))
+      | Inst.And -> fun t -> rset t d (Int64.logand (rget t a) (rget t b))
+      | Inst.Or -> fun t -> rset t d (Int64.logor (rget t a) (rget t b))
+      | Inst.Xor -> fun t -> rset t d (Int64.logxor (rget t a) (rget t b))
+      | Inst.Sll ->
+          fun t ->
+            rset t d (Int64.shift_left (rget t a) (Int64.to_int (rget t b) land 63))
+      | Inst.Srl ->
+          fun t ->
+            rset t d
+              (Int64.shift_right_logical (rget t a) (Int64.to_int (rget t b) land 63))
+      | Inst.Sra ->
+          fun t ->
+            rset t d (Int64.shift_right (rget t a) (Int64.to_int (rget t b) land 63))
+      | Inst.Slt -> fun t -> rset t d (if rget t a < rget t b then 1L else 0L)
+      | Inst.Sltu -> fun t -> rset t d (if ult (rget t a) (rget t b) then 1L else 0L)
       | Inst.Addw ->
           fun t ->
-            let v =
-              (Int64.to_int (get_reg t r1) + Int64.to_int (get_reg t r2))
-              land 0xFFFFFFFF
-            in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let v = (Int64.to_int (rget t a) + Int64.to_int (rget t b)) land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Subw ->
           fun t ->
-            let v =
-              (Int64.to_int (get_reg t r1) - Int64.to_int (get_reg t r2))
-              land 0xFFFFFFFF
-            in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let v = (Int64.to_int (rget t a) - Int64.to_int (rget t b)) land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Mulw ->
           fun t ->
-            let v =
-              Int64.to_int (get_reg t r1) * Int64.to_int (get_reg t r2)
-              land 0xFFFFFFFF
-            in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let v = Int64.to_int (rget t a) * Int64.to_int (rget t b) land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Sllw ->
           fun t ->
-            let sh = Int64.to_int (get_reg t r2) land 31 in
-            let v = (Int64.to_int (get_reg t r1) lsl sh) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let sh = Int64.to_int (rget t b) land 31 in
+            let v = (Int64.to_int (rget t a) lsl sh) land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Srlw ->
           fun t ->
-            let sh = Int64.to_int (get_reg t r2) land 31 in
-            let v = (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) lsr sh in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let sh = Int64.to_int (rget t b) land 31 in
+            let v = (Int64.to_int (rget t a) land 0xFFFFFFFF) lsr sh in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Sraw ->
           fun t ->
-            let sh = Int64.to_int (get_reg t r2) land 31 in
-            let v = sext32_int (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) in
-            set_reg t rd (Int64.of_int (v asr sh))
-      | Inst.Mul -> fun t -> set_reg t rd (Int64.mul (get_reg t r1) (get_reg t r2))
-      | _ -> fun t -> set_reg t rd (Tir.alu op (get_reg t r1) (get_reg t r2)))
+            let sh = Int64.to_int (rget t b) land 31 in
+            let v = sext32_int (Int64.to_int (rget t a) land 0xFFFFFFFF) in
+            rset t d (Int64.of_int (v asr sh))
+      | Inst.Mul -> fun t -> rset t d (Int64.mul (rget t a) (rget t b))
+      | _ -> fun t -> rset t d (Tir.alu op (rget t a) (rget t b)))
   | Tir.Kaluc (op, rd, r1, c) -> (
+      let d = roff rd and a = roff r1 in
       match op with
-      | Inst.Add -> fun t -> set_reg t rd (Int64.add (get_reg t r1) c)
-      | Inst.And -> fun t -> set_reg t rd (Int64.logand (get_reg t r1) c)
-      | Inst.Or -> fun t -> set_reg t rd (Int64.logor (get_reg t r1) c)
-      | Inst.Xor -> fun t -> set_reg t rd (Int64.logxor (get_reg t r1) c)
+      | Inst.Add -> fun t -> rset t d (Int64.add (rget t a) c)
+      | Inst.And -> fun t -> rset t d (Int64.logand (rget t a) c)
+      | Inst.Or -> fun t -> rset t d (Int64.logor (rget t a) c)
+      | Inst.Xor -> fun t -> rset t d (Int64.logxor (rget t a) c)
       | Inst.Addw ->
           let ci = Int64.to_int c in
           fun t ->
-            let v = (Int64.to_int (get_reg t r1) + ci) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let v = (Int64.to_int (rget t a) + ci) land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Subw ->
           let ci = Int64.to_int c in
           fun t ->
-            let v = (Int64.to_int (get_reg t r1) - ci) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let v = (Int64.to_int (rget t a) - ci) land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Mulw ->
           let ci = Int64.to_int c in
           fun t ->
-            let v = Int64.to_int (get_reg t r1) * ci land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | _ -> fun t -> set_reg t rd (Tir.alu op (get_reg t r1) c))
+            let v = Int64.to_int (rget t a) * ci land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
+      | _ -> fun t -> rset t d (Tir.alu op (rget t a) c))
   | Tir.Kalui (op, rd, r1, imm) -> (
+      let d = roff rd and a = roff r1 in
+      let c = Int64.of_int imm in
       match op with
-      | Inst.Addi ->
-          let c = Int64.of_int imm in
-          fun t -> set_reg t rd (Int64.add (get_reg t r1) c)
-      | Inst.Andi ->
-          let c = Int64.of_int imm in
-          fun t -> set_reg t rd (Int64.logand (get_reg t r1) c)
+      | Inst.Addi -> fun t -> rset t d (Int64.add (rget t a) c)
+      | Inst.Andi -> fun t -> rset t d (Int64.logand (rget t a) c)
+      | Inst.Ori -> fun t -> rset t d (Int64.logor (rget t a) c)
+      | Inst.Xori -> fun t -> rset t d (Int64.logxor (rget t a) c)
+      | Inst.Slti -> fun t -> rset t d (if rget t a < c then 1L else 0L)
+      | Inst.Sltiu -> fun t -> rset t d (if ult (rget t a) c then 1L else 0L)
       | Inst.Slli ->
           let sh = imm land 63 in
-          fun t -> set_reg t rd (Int64.shift_left (get_reg t r1) sh)
+          fun t -> rset t d (Int64.shift_left (rget t a) sh)
       | Inst.Srli ->
           let sh = imm land 63 in
-          fun t -> set_reg t rd (Int64.shift_right_logical (get_reg t r1) sh)
+          fun t -> rset t d (Int64.shift_right_logical (rget t a) sh)
       | Inst.Srai ->
           let sh = imm land 63 in
-          fun t -> set_reg t rd (Int64.shift_right (get_reg t r1) sh)
+          fun t -> rset t d (Int64.shift_right (rget t a) sh)
       | Inst.Addiw ->
           fun t ->
-            let v = (Int64.to_int (get_reg t r1) + imm) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let v = (Int64.to_int (rget t a) + imm) land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Slliw ->
           let sh = imm land 31 in
           fun t ->
-            let v = (Int64.to_int (get_reg t r1) lsl sh) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let v = (Int64.to_int (rget t a) lsl sh) land 0xFFFFFFFF in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Srliw ->
           let sh = imm land 31 in
           fun t ->
-            let v = (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) lsr sh in
-            set_reg t rd (Int64.of_int (sext32_int v))
+            let v = (Int64.to_int (rget t a) land 0xFFFFFFFF) lsr sh in
+            rset t d (Int64.of_int (sext32_int v))
       | Inst.Sraiw ->
           let sh = imm land 31 in
           fun t ->
-            let v = sext32_int (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) in
-            set_reg t rd (Int64.of_int (v asr sh))
-      | _ -> fun t -> set_reg t rd (Tir.alui op (get_reg t r1) imm))
+            let v = sext32_int (Int64.to_int (rget t a) land 0xFFFFFFFF) in
+            rset t d (Int64.of_int (v asr sh)))
   | Tir.Kload { width; unsigned; rd; base; off } -> (
+      let d = roff rd and b = roff base in
       match (width, unsigned) with
       | Inst.D, _ ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Memory.load_u64 t.cur.vmem addr)
+            rload64 t d t.cur.vmem (Int64.to_int (rget t b) + off)
       | Inst.W, false ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
+            let addr = Int64.to_int (rget t b) + off in
+            rset t d (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
       | Inst.W, true ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
+            let addr = Int64.to_int (rget t b) + off in
+            rset t d (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
       | Inst.H, false ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
+            let addr = Int64.to_int (rget t b) + off in
+            rset t d (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
       | Inst.H, true ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
+            let addr = Int64.to_int (rget t b) + off in
+            rset t d (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
       | Inst.B, false ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
+            let addr = Int64.to_int (rget t b) + off in
+            rset t d (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
       | Inst.B, true ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
+            let addr = Int64.to_int (rget t b) + off in
+            rset t d (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
   | Tir.Kloadc { width; unsigned; rd; addr } -> (
+      let d = roff rd in
       match (width, unsigned) with
       | Inst.D, _ ->
           fun t ->
             t.pc <- pc;
-            set_reg t rd (Memory.load_u64 t.cur.vmem addr)
+            rload64 t d t.cur.vmem addr
       | Inst.W, false ->
           fun t ->
             t.pc <- pc;
-            set_reg t rd (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
+            rset t d (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
       | Inst.W, true ->
           fun t ->
             t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
+            rset t d (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
       | Inst.H, false ->
           fun t ->
             t.pc <- pc;
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
+            rset t d (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
       | Inst.H, true ->
           fun t ->
             t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
+            rset t d (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
       | Inst.B, false ->
           fun t ->
             t.pc <- pc;
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
+            rset t d (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
       | Inst.B, true ->
           fun t ->
             t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
+            rset t d (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
   | Tir.Kstore { width; rs2; base; off } -> (
+      let s = roff rs2 and b = roff base in
       match width with
       | Inst.D ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            Memory.store_u64 t.cur.vmem addr (get_reg t rs2)
+            store64 t.cur.vmem (Int64.to_int (rget t b) + off) (rget t s)
       | Inst.W ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            Memory.store_u32 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFFFFFF)
+            let addr = Int64.to_int (rget t b) + off in
+            Memory.store_u32 t.cur.vmem addr (Int64.to_int (rget t s) land 0xFFFFFFFF)
       | Inst.H ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            Memory.store_u16 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFF)
+            let addr = Int64.to_int (rget t b) + off in
+            Memory.store_u16 t.cur.vmem addr (Int64.to_int (rget t s) land 0xFFFF)
       | Inst.B ->
           fun t ->
             t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            Memory.store_u8 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFF))
+            let addr = Int64.to_int (rget t b) + off in
+            Memory.store_u8 t.cur.vmem addr (Int64.to_int (rget t s) land 0xFF))
   | Tir.Kstorec { width; rs2; addr } -> (
+      let s = roff rs2 in
       match width with
       | Inst.D ->
           fun t ->
             t.pc <- pc;
-            Memory.store_u64 t.cur.vmem addr (get_reg t rs2)
+            store64 t.cur.vmem addr (rget t s)
       | Inst.W ->
           fun t ->
             t.pc <- pc;
-            Memory.store_u32 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFFFFFF)
+            Memory.store_u32 t.cur.vmem addr (Int64.to_int (rget t s) land 0xFFFFFFFF)
       | Inst.H ->
           fun t ->
             t.pc <- pc;
-            Memory.store_u16 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFF)
+            Memory.store_u16 t.cur.vmem addr (Int64.to_int (rget t s) land 0xFFFF)
       | Inst.B ->
           fun t ->
             t.pc <- pc;
-            Memory.store_u8 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFF))
+            Memory.store_u8 t.cur.vmem addr (Int64.to_int (rget t s) land 0xFF))
   | Tir.Kstorev { width; v; base; off } -> (
+      let b = roff base in
       match width with
       | Inst.D ->
           fun t ->
             t.pc <- pc;
-            Memory.store_u64 t.cur.vmem (Int64.to_int (get_reg t base) + off) v
+            store64 t.cur.vmem (Int64.to_int (rget t b) + off) v
       | Inst.W ->
           let vi = Int64.to_int v land 0xFFFFFFFF in
           fun t ->
             t.pc <- pc;
-            Memory.store_u32 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi
+            Memory.store_u32 t.cur.vmem (Int64.to_int (rget t b) + off) vi
       | Inst.H ->
           let vi = Int64.to_int v land 0xFFFF in
           fun t ->
             t.pc <- pc;
-            Memory.store_u16 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi
+            Memory.store_u16 t.cur.vmem (Int64.to_int (rget t b) + off) vi
       | Inst.B ->
           let vi = Int64.to_int v land 0xFF in
           fun t ->
             t.pc <- pc;
-            Memory.store_u8 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi)
+            Memory.store_u8 t.cur.vmem (Int64.to_int (rget t b) + off) vi)
   | Tir.Kstorecv { width; v; addr } -> (
       match width with
       | Inst.D ->
           fun t ->
             t.pc <- pc;
-            Memory.store_u64 t.cur.vmem addr v
+            store64 t.cur.vmem addr v
       | Inst.W ->
           let vi = Int64.to_int v land 0xFFFFFFFF in
           fun t ->
@@ -1589,19 +1642,15 @@ let emit_effect (o : Tir.op) : t -> unit =
             t.pc <- pc;
             Memory.store_u8 t.cur.vmem addr vi)
 
-(* The read-modify-write middle op as a value transformer, or None if the
-   op at [i+1] is not a pure ALU of the form [x <- x op _]. *)
-let rmw_apply (k : Tir.kind) x =
+(* Whether an op is the middle of a read-modify-write triple: a pure ALU of
+   the form [x <- x op _]. The fused unit runs the op's own effect closure
+   between the load and the store, through the register file. *)
+let rmw_middle (k : Tir.kind) x =
   match k with
-  | Tir.Kalu (op, rd, r1, r2) when Reg.equal rd x && Reg.equal r1 x ->
-      Some (fun t v -> Tir.alu op v (get_reg t r2))
-  | Tir.Kalu (op, rd, r1, r2) when Reg.equal rd x && Reg.equal r2 x ->
-      Some (fun t v -> Tir.alu op (get_reg t r1) v)
-  | Tir.Kaluc (op, rd, r1, c) when Reg.equal rd x && Reg.equal r1 x ->
-      Some (fun _ v -> Tir.alu op v c)
-  | Tir.Kalui (op, rd, r1, imm) when Reg.equal rd x && Reg.equal r1 x ->
-      Some (fun _ v -> Tir.alui op v imm)
-  | _ -> None
+  | Tir.Kalu (_, rd, r1, r2) -> Reg.equal rd x && (Reg.equal r1 x || Reg.equal r2 x)
+  | Tir.Kaluc (_, rd, r1, _) | Tir.Kalui (_, rd, r1, _) ->
+      Reg.equal rd x && Reg.equal r1 x
+  | _ -> false
 
 (* Emit one optimized straight-line run as execution units:
 
@@ -1665,24 +1714,26 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
             do
               incr c
             done;
-            (* collect the constants in the [c0, c) stretch *)
+            (* collect the constants in the [c0, c) stretch, as register
+               byte offsets (a [Kconst] never targets x0: {!Tir.lower}
+               turns x0 writes into [Kdead]) *)
             let rds = ref [] and vals = ref [] and nc = ref 0 in
             for x = c0 to !c - 1 do
               match ops.(x).Tir.k with
               | Tir.Kconst (rd, v) ->
-                  rds := Reg.to_int rd :: !rds;
+                  rds := roff rd :: !rds;
                   vals := v :: !vals;
                   incr nc
               | _ -> ()
             done;
             (match (!rds, !vals) with
             | [ r1 ], [ v1 ] ->
-                effs := (fun t -> Array.unsafe_set t.xregs r1 v1) :: !effs
+                effs := (fun t -> reg_store t.xregs r1 v1) :: !effs
             | [ r2; r1 ], [ v2; v1 ] ->
                 effs :=
                   (fun t ->
-                    Array.unsafe_set t.xregs r1 v1;
-                    Array.unsafe_set t.xregs r2 v2)
+                    reg_store t.xregs r1 v1;
+                    reg_store t.xregs r2 v2)
                   :: !effs
             | _ ->
                 let rds = Array.of_list (List.rev !rds) in
@@ -1691,7 +1742,7 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
                 effs :=
                   (fun t ->
                     for x = 0 to m - 1 do
-                      Array.unsafe_set t.xregs (Array.unsafe_get rds x)
+                      reg_store t.xregs (Array.unsafe_get rds x)
                         (Array.unsafe_get vals x)
                     done)
                   :: !effs);
@@ -1728,43 +1779,41 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
       | Tir.Kload { width = (Inst.D | Inst.W) as w; unsigned = false; rd = x; base = b; off }
         when !i + 2 < n && Reg.to_int x <> 0 && not (Reg.equal x b) -> (
           (* load; alu; store back to the same slot *)
-          match rmw_apply ops.(!i + 1).Tir.k x with
-          | Some apply -> (
-              match ops.(!i + 2).Tir.k with
-              | Tir.Kstore { width = w2; rs2; base = b2; off = off2 }
-                when w2 = w && Reg.equal rs2 x && Reg.equal b2 b && off2 = off ->
-                  let pc1 = o.Tir.opc and pc3 = ops.(!i + 2).Tir.opc in
-                  let efn =
-                    match w with
-                    | Inst.D ->
-                        fun t ->
-                          t.pc <- pc1;
-                          let m = t.cur.vmem in
-                          let a = Int64.to_int (get_reg t b) + off in
-                          let v = Memory.load_u64 m a in
-                          let v' = apply t v in
-                          set_reg t x v';
-                          t.retired <- t.retired + 2;
-                          t.pc <- pc3;
-                          Memory.store_u64 m a v';
-                          t.retired <- t.retired + 1
-                    | _ ->
-                        fun t ->
-                          t.pc <- pc1;
-                          let m = t.cur.vmem in
-                          let a = Int64.to_int (get_reg t b) + off in
-                          let v = Int64.of_int (sext32_int (Memory.load_u32 m a)) in
-                          let v' = apply t v in
-                          set_reg t x v';
-                          t.retired <- t.retired + 2;
-                          t.pc <- pc3;
-                          Memory.store_u32 m a (Int64.to_int v' land 0xFFFFFFFF);
-                          t.retired <- t.retired + 1
-                  in
-                  push ~fuse:(pc1, "rmw") efn 3 true;
-                  consumed := 3
-              | _ -> ())
-          | None -> ())
+          match ops.(!i + 2).Tir.k with
+          | Tir.Kstore { width = w2; rs2; base = b2; off = off2 }
+            when rmw_middle ops.(!i + 1).Tir.k x
+                 && w2 = w && Reg.equal rs2 x && Reg.equal b2 b && off2 = off ->
+              let pc1 = o.Tir.opc and pc3 = ops.(!i + 2).Tir.opc in
+              let mid = emit_effect ops.(!i + 1) in
+              let xo = roff x and bo = roff b in
+              let efn =
+                match w with
+                | Inst.D ->
+                    fun t ->
+                      t.pc <- pc1;
+                      let m = t.cur.vmem in
+                      let a = Int64.to_int (rget t bo) + off in
+                      rload64 t xo m a;
+                      mid t;
+                      t.retired <- t.retired + 2;
+                      t.pc <- pc3;
+                      store64 m a (rget t xo);
+                      t.retired <- t.retired + 1
+                | _ ->
+                    fun t ->
+                      t.pc <- pc1;
+                      let m = t.cur.vmem in
+                      let a = Int64.to_int (rget t bo) + off in
+                      rset t xo (Int64.of_int (sext32_int (Memory.load_u32 m a)));
+                      mid t;
+                      t.retired <- t.retired + 2;
+                      t.pc <- pc3;
+                      Memory.store_u32 m a (Int64.to_int (rget t xo) land 0xFFFFFFFF);
+                      t.retired <- t.retired + 1
+              in
+              push ~fuse:(pc1, "rmw") efn 3 true;
+              consumed := 3
+          | _ -> ())
       | _ -> ());
       if !consumed = 0 then begin
         match (o.Tir.k, if !i + 1 < n then Some ops.(!i + 1).Tir.k else None) with
@@ -1775,24 +1824,25 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
                land on the same page *)
             let pc1 = o.Tir.opc and pc2 = ops.(!i + 1).Tir.opc in
             let d = o2 - o1 in
+            let r1 = roff r1 and r2 = roff r2 and b = roff b in
             let efn t =
               t.pc <- pc1;
               let m = t.cur.vmem in
-              let a1 = Int64.to_int (get_reg t b) + o1 in
+              let a1 = Int64.to_int (rget t b) + o1 in
               let off1 = a1 land page_mask in
               let off2 = off1 + d in
               if off1 + 8 <= Memory.page_size && off2 >= 0 && off2 + 8 <= Memory.page_size
               then begin
                 let pg = Memory.read_data m a1 in
-                set_reg t r1 (Bytes.get_int64_le pg off1);
-                set_reg t r2 (Bytes.get_int64_le pg off2);
+                rset t r1 (Bytes.get_int64_le pg off1);
+                rset t r2 (Bytes.get_int64_le pg off2);
                 t.retired <- t.retired + 2
               end
               else begin
-                set_reg t r1 (Memory.load_u64 m a1);
+                rload64 t r1 m a1;
                 t.retired <- t.retired + 1;
                 t.pc <- pc2;
-                set_reg t r2 (Memory.load_u64 m (Int64.to_int (get_reg t b) + o2));
+                rload64 t r2 m (Int64.to_int (rget t b) + o2);
                 t.retired <- t.retired + 1
               end
             in
@@ -1804,24 +1854,25 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
           when Reg.equal b b2 ->
             let pc1 = o.Tir.opc and pc2 = ops.(!i + 1).Tir.opc in
             let d = o2 - o1 in
+            let r1 = roff r1 and r2 = roff r2 and b = roff b in
             let efn t =
               t.pc <- pc1;
               let m = t.cur.vmem in
-              let a1 = Int64.to_int (get_reg t b) + o1 in
+              let a1 = Int64.to_int (rget t b) + o1 in
               let off1 = a1 land page_mask in
               let off2 = off1 + d in
               if off1 + 8 <= Memory.page_size && off2 >= 0 && off2 + 8 <= Memory.page_size
               then begin
                 let pg = Memory.write_data m a1 in
-                Bytes.set_int64_le pg off1 (get_reg t r1);
-                Bytes.set_int64_le pg off2 (get_reg t r2);
+                Bytes.set_int64_le pg off1 (rget t r1);
+                Bytes.set_int64_le pg off2 (rget t r2);
                 t.retired <- t.retired + 2
               end
               else begin
-                Memory.store_u64 m a1 (get_reg t r1);
+                store64 m a1 (rget t r1);
                 t.retired <- t.retired + 1;
                 t.pc <- pc2;
-                Memory.store_u64 m (Int64.to_int (get_reg t b) + o2) (get_reg t r2);
+                store64 m (Int64.to_int (rget t b) + o2) (rget t r2);
                 t.retired <- t.retired + 1
               end
             in
@@ -1979,10 +2030,10 @@ let publish_block t entry b =
    exactly the PR6 behavior. *)
 let block_or_cold t =
   match Hashtbl.find_opt t.cur.blocks t.pc with
-  | Some b when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
+  | Some b as hit when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
       if !Obs.enabled then
         Obs.emit (Obs.Tb_hit { entry = t.pc; body = Tblock.body_length b });
-      Some b
+      hit
   | Some _ | None ->
       if not t.tiered then begin
         let b = translate_block t t.pc in
@@ -2160,13 +2211,13 @@ let ic_train t s pc nb =
    separately — the site has stopped predicting, so it is neither. *)
 let ic_dispatch t s pc =
   match s.site_tb with
-  | Some nb when s.site_target = pc && Tblock.epoch_current nb t.code_epoch ->
+  | Some nb as hit when s.site_target = pc && Tblock.epoch_current nb t.code_epoch ->
       s.site_hits <- s.site_hits + 1;
       t.ic_hits <- t.ic_hits + 1;
       t.chain_hits <- t.chain_hits + 1;
       if !Obs.enabled then
         Obs.emit (Obs.Ic_hit { site = s.site_pc; target = pc });
-      Some nb
+      hit
   | _ -> (
       let poly =
         if s.site_mega then None
@@ -2239,9 +2290,11 @@ let run_blocks ~handlers ~fuel t =
   let remaining = ref fuel in
   let result = ref None in
   let apply = function Resume pc -> t.pc <- pc | Stop s -> result := Some s in
-  (* block that just completed normally (plus its view); cleared on any
-     other path so faults/handler redirects re-enter through the table *)
-  let prev = ref None in
+  (* block that just completed normally, and the view it ran in; cleared on
+     any other path so faults/handler redirects re-enter through the table.
+     The option is the one the lookup returned, so chaining allocates
+     nothing per dispatch. *)
+  let prev = ref None and prev_v = ref t.cur in
   while !result = None && !remaining > 0 do
     (* an indirect terminator publishes its inline-cache site as it
        completes; consume it here (or drop it, if this dispatch is not a
@@ -2251,7 +2304,7 @@ let run_blocks ~handlers ~fuel t =
     if pic != None then t.pending_ic <- None;
     let bo =
       match !prev with
-      | Some (pb, pv) when pv == t.cur -> (
+      | Some pb when !prev_v == t.cur -> (
           let pc = t.pc in
           match pic with
           | Some s -> ic_dispatch t s pc
@@ -2260,14 +2313,14 @@ let run_blocks ~handlers ~fuel t =
               match
                 (if to_fall then pb.Tblock.link_fall else pb.Tblock.link_taken)
               with
-              | Some nb
+              | Some nb as link
                 when nb.Tblock.entry = pc
                      && Tblock.epoch_current nb t.code_epoch ->
                   t.chain_hits <- t.chain_hits + 1;
                   if !Obs.enabled then
                     Obs.emit
                       (Obs.Tb_hit { entry = pc; body = Tblock.body_length nb });
-                  Some nb
+                  link
               | _ -> (
                   match block_or_cold t with
                   | Some nb ->
@@ -2292,6 +2345,7 @@ let run_blocks ~handlers ~fuel t =
         decr remaining
     | Some b0 ->
     let b = if t.tiered then maybe_promote t b0 else b0 in
+    let bo = if b == b0 then bo else Some b in
     t.tb_dispatches <- t.tb_dispatches + 1;
     if Tblock.degenerate b then begin
       (* illegal, unsupported, or unmapped entry: the slow path raises the
@@ -2424,7 +2478,7 @@ let run_blocks ~handlers ~fuel t =
             if !Obs.enabled then
               Obs.emit
                 (Obs.Tb_side_exit { entry = b.Tblock.entry; target = t.pc });
-            if t.chain then prev := Some (b, v0)
+            if t.chain then begin prev := bo; prev_v := v0 end
           end
           else if full then (
             (* closures write pc lazily (only fault-capable ones set their
@@ -2439,18 +2493,18 @@ let run_blocks ~handlers ~fuel t =
                        icache on, fall through so fetch charges apply) *)
                     f t;
                     decr remaining;
-                    if t.chain then prev := Some (b, v0)
+                    if t.chain then begin prev := bo; prev_v := v0 end
                 | _ ->
                     t.pc <- b.Tblock.fall - size;
                     term_tried := true;
                     (match step_decoded ~handlers t inst size with
                     | Some s -> result := Some s
-                    | None -> if t.chain then prev := Some (b, v0));
+                    | None -> if t.chain then begin prev := bo; prev_v := v0 end);
                     decr remaining)
             | Some (_, size) -> t.pc <- b.Tblock.fall - size
             | None ->
                 t.pc <- b.Tblock.fall;
-                if t.chain then prev := Some (b, v0))
+                if t.chain then begin prev := bo; prev_v := v0 end)
           else
             (* fuel-limited prefix: resume at the first unexecuted
                instruction *)

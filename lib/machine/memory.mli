@@ -84,7 +84,9 @@ val fetch_u16 : t -> int -> int
 
     [read_data]/[write_data] perform one full TLB-checked translation of
     the page containing the address and return its payload bytes. The
-    block engine's fused memory units use them to elide redundant checks:
+    machine's in-page 8-byte accesses read and write the payload directly
+    through them (so the value is never boxed), and the block engine's
+    fused memory units use them to elide redundant checks:
     a second access of the {e same kind} whose address provably lands on
     the {e same page} within one execution unit may reuse the returned
     bytes directly. This is sound because permissions can only change from

@@ -67,6 +67,22 @@ if [ "$retired_super" != "$retired_step" ] || [ "$retired_block" != "$retired_st
 fi
 echo "ci: tiered/untiered/no-ic/no-ir/block/step engines agree over [$engine_exps]"
 
+# Allocation gate: fig13's minor words per retired instruction in the -j 1
+# tiered run (the calling domain's allocation over the row's window) must
+# stay within the driver's budget, max_minor_words_per_inst in
+# bench/main.ml. A deterministic work proxy: it moves when the hot path
+# starts allocating again, with no wall-clock noise.
+budget=$(grep -o 'max_minor_words_per_inst = [0-9.]*' bench/main.ml | grep -o '[0-9.]*$')
+fig13_words=$(grep '"name": "fig13"' "$json_super" \
+  | grep -o '"minor_words_per_inst": [0-9.]*' | grep -o '[0-9.]*$')
+test -n "$budget" && test -n "$fig13_words"
+if ! awk "BEGIN { exit !($fig13_words <= $budget) }"; then
+  echo "ci: allocation gate failed: fig13 minor_words_per_inst=$fig13_words" >&2
+  echo "    (budget $budget)" >&2
+  exit 1
+fi
+echo "ci: allocation gate passed (fig13 $fig13_words minor words/inst, budget $budget)"
+
 # Tiering quality gates on the micro deterministic tail: with profile-guided
 # recompilation and inline caches on, chained dispatch must dominate
 # (chain_hit_rate >= 0.80 — the untiered superblock engine sits near 0.43 on

@@ -148,6 +148,69 @@ let test_fold_visible_at_side_exit () =
   Alcotest.(check int) "exit sees folded value" 7 (exit_code stop);
   Alcotest.(check bool) "the addi folded" true (ir "folded" >= 1)
 
+(* Straight-line execution allocates nothing: once a loop of ALU ops,
+   8-byte loads and stores (paired and read-modify-write) and a backward
+   branch runs as a chained top-tier block, the guest registers live
+   unboxed in the register file and a dispatch reuses its chain link, so
+   the minor heap only sees the per-[run] bookkeeping. A hot path that
+   boxes register values (an Int64 box is 3 words) overshoots the limit by
+   well over an order of magnitude. *)
+let alloc_loop () =
+  let a = Asm.create ~name:"irgold-alloc" () in
+  Asm.func a "_start";
+  Asm.la a Reg.t0 "ptr";
+  Asm.inst a
+    (Inst.Load { width = Inst.D; unsigned = false; rd = Reg.a0; rs1 = Reg.t0; imm = 0 });
+  Asm.li a Reg.a1 1_000_000;
+  Asm.label a "L";
+  let ld rd imm =
+    Asm.inst a (Inst.Load { width = Inst.D; unsigned = false; rd; rs1 = Reg.a0; imm })
+  and sd rs2 imm = Asm.inst a (Inst.Store { width = Inst.D; rs2; rs1 = Reg.a0; imm }) in
+  ld Reg.t1 0;
+  ld Reg.t2 8;
+  Asm.inst a (Inst.Op (Inst.Add, Reg.t3, Reg.t1, Reg.t2));
+  Asm.inst a (Inst.Op (Inst.Xor, Reg.t4, Reg.t3, Reg.a1));
+  Asm.inst a (Inst.Opi (Inst.Slli, Reg.t5, Reg.t4, 3));
+  Asm.inst a (Inst.Op (Inst.Sltu, Reg.t6, Reg.t5, Reg.t1));
+  Asm.inst a (Inst.Op (Inst.Sub, Reg.t3, Reg.t3, Reg.t6));
+  sd Reg.t3 16;
+  sd Reg.t4 24;
+  ld Reg.t5 32;
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.t5, Reg.t5, 1));
+  sd Reg.t5 32;
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.t1, Reg.t1, 7));
+  sd Reg.t1 0;
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.a1, Reg.a1, -1));
+  Asm.branch_to a Inst.Bne Reg.a1 Reg.x0 "L";
+  Asm.li a Reg.a7 93;
+  Asm.inst a Inst.Ecall;
+  Asm.rlabel a "ptr";
+  Asm.rword_label a "data";
+  Asm.dlabel a "data";
+  List.iter (Asm.dword64 a) [ 1L; 2L; 0L; 0L; 10L ];
+  Asm.assemble a
+
+let test_steady_state_allocation () =
+  let bin = alloc_loop () in
+  let mem = Loader.load bin in
+  let m = Machine.create ~mem ~isa:base_isa () in
+  Machine.set_tiered m true;
+  Loader.init_machine m bin;
+  (* warm up: promotion to the top tier and chain formation *)
+  ignore (Machine.run ~fuel:100_000 m);
+  Alcotest.(check bool) "loop block reached tier 3" true
+    (List.exists (fun b -> b.Machine.bi_tier = 3) (Machine.block_infos m));
+  let r0 = Machine.retired m in
+  let w0 = Gc.minor_words () in
+  (match Machine.run ~fuel:2_000_000 m with
+  | Machine.Fuel_exhausted -> ()
+  | _ -> Alcotest.fail "the loop stopped before the fuel ran out");
+  let words = Gc.minor_words () -. w0 in
+  let per_inst = words /. float_of_int (Machine.retired m - r0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per retired instruction (limit 0.05)" per_inst)
+    true (per_inst <= 0.05)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "chimera_ir"
@@ -157,4 +220,7 @@ let () =
          tc "pc-write elision over pure runs" `Quick test_pc_elision;
          tc "TLB-check elision on paired accesses" `Quick test_tlb_elision;
          tc "folded values visible at side exit" `Quick
-           test_fold_visible_at_side_exit ]) ]
+           test_fold_visible_at_side_exit ]);
+      ("allocation",
+       [ tc "steady-state top-tier loop allocates nothing" `Quick
+           test_steady_state_allocation ]) ]

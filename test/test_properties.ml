@@ -821,6 +821,164 @@ let prop_ir_pipeline_differential =
           && check_snaps ~what:(what 3) r3 b3)
         [ ("block", `Block); ("super", `Super); ("super-noir", `Super_noir) ])
 
+(* 8- and 4-byte accesses at the edge of a page, where the top-tier
+   emitter's in-page fast path hands over to Memory's byte-wise path:
+   first-byte page offsets 4080..4095 (so an access may straddle into the
+   next page), paired and read-modify-write forms, compressed forms, and
+   loads into x0. Four phases per program: a warm run, a run after the
+   straddled-into page turns read-only (straddling stores write their
+   low bytes, then fault), a run after the page behind the x0 loads turns
+   unreadable, and a run with their base moved to an unmapped address.
+   Step, block, superblock and tiered machines must agree bit for bit on
+   registers, counters, stop and fault at every phase boundary, and on the
+   bytes of the three pages. *)
+let edge_program rng =
+  let a = Asm.create ~name:"edgefuzz" () in
+  let pool = [| Reg.a2; Reg.a3; Reg.a4; Reg.a5; Reg.t0; Reg.t1; Reg.t2; Reg.t3 |] in
+  let reg () = pool.(Random.State.int rng (Array.length pool)) in
+  (* compressed forms only reach x8..x15 *)
+  let creg () = pool.(Random.State.int rng 4) in
+  let load width unsigned rd rs1 imm =
+    Asm.inst a (Inst.Load { width; unsigned; rd; rs1; imm })
+  in
+  let store width rs2 rs1 imm = Asm.inst a (Inst.Store { width; rs2; rs1; imm }) in
+  Asm.func a "_start";
+  (* s3 = P, the first page boundary inside the data section; a0 = P + 2080
+     so imm 2000 + k lands at page offset 4080 + k; s1 = P + 3968 + j for
+     the compressed forms; a6 = P + 8192, the page behind the x0 loads *)
+  Asm.la a Reg.s3 "data";
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.s3, Reg.s3, 2047));
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.s3, Reg.s3, 2047));
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.s3, Reg.s3, 1));
+  Asm.inst a (Inst.Opi (Inst.Srli, Reg.s3, Reg.s3, 12));
+  Asm.inst a (Inst.Opi (Inst.Slli, Reg.s3, Reg.s3, 12));
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.a0, Reg.s3, 2047));
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.a0, Reg.a0, 33));
+  Asm.li a Reg.t0 (3968 + Random.State.int rng 8);
+  Asm.inst a (Inst.Op (Inst.Add, Reg.s1, Reg.s3, Reg.t0));
+  Asm.li a Reg.t0 8192;
+  Asm.inst a (Inst.Op (Inst.Add, Reg.a6, Reg.s3, Reg.t0));
+  Array.iter (fun r -> Asm.li a r (Random.State.int rng 0x100000)) pool;
+  Asm.li a Reg.s2 (2000 + Random.State.int rng 1000);
+  Asm.label a "L";
+  let k () = 2000 + Random.State.int rng 16 in
+  for _ = 1 to 6 + Random.State.int rng 10 do
+    match Random.State.int rng 11 with
+    | 0 -> load Inst.D false (reg ()) Reg.a0 (k ())
+    | 1 -> load Inst.W (Random.State.bool rng) (reg ()) Reg.a0 (k ())
+    | 2 -> store Inst.D (reg ()) Reg.a0 (k ())
+    | 3 -> store Inst.W (reg ()) Reg.a0 (k ())
+    | 4 ->
+        (* ld_pair / st_pair *)
+        let o = k () and r1 = reg () and r2 = reg () in
+        if Random.State.bool rng then begin
+          load Inst.D false r1 Reg.a0 o;
+          load Inst.D false r2 Reg.a0 (o + 8)
+        end
+        else begin
+          store Inst.D r1 Reg.a0 o;
+          store Inst.D r2 Reg.a0 (o + 8)
+        end
+    | 5 ->
+        (* read-modify-write, including x <- x op x *)
+        let x = reg () and o = k () in
+        let w = if Random.State.bool rng then Inst.D else Inst.W in
+        let y = if Random.State.bool rng then x else reg () in
+        load w false x Reg.a0 o;
+        Asm.inst a (Inst.Op (Inst.Add, x, x, y));
+        store w x Reg.a0 o
+    | 6 ->
+        let r = creg () and u = 112 + (8 * Random.State.int rng 3) in
+        if Random.State.bool rng then Asm.inst a (Inst.C_ld (r, Reg.s1, u))
+        else Asm.inst a (Inst.C_sd (r, Reg.s1, u))
+    | 7 ->
+        let r = creg () and u = 116 + (4 * Random.State.int rng 3) in
+        if Random.State.bool rng then Asm.inst a (Inst.C_lw (r, Reg.s1, u))
+        else Asm.inst a (Inst.C_sw (r, Reg.s1, u))
+    | 8 ->
+        load (if Random.State.bool rng then Inst.D else Inst.W) false Reg.x0 Reg.a0 (k ())
+    | 9 ->
+        let ops =
+          [| Inst.Add; Inst.Xor; Inst.Sll; Inst.Srl; Inst.Sra; Inst.Slt; Inst.Sltu |]
+        in
+        Asm.inst a (Inst.Op (ops.(Random.State.int rng 7), reg (), reg (), reg ()))
+    | _ ->
+        let ops = [| Inst.Addi; Inst.Ori; Inst.Xori; Inst.Slti; Inst.Sltiu |] in
+        let imm = Random.State.int rng 4096 - 2048 in
+        Asm.inst a (Inst.Opi (ops.(Random.State.int rng 5), reg (), reg (), imm))
+  done;
+  (* every iteration: one straddling 8-byte store and one load into x0
+     through the probe base *)
+  store Inst.D (reg ()) Reg.a0 (2009 + Random.State.int rng 7);
+  load (if Random.State.bool rng then Inst.D else Inst.W) false Reg.x0 Reg.a6
+    (8 * Random.State.int rng 4);
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.s2, Reg.s2, -1));
+  Asm.branch_to a Inst.Bne Reg.s2 Reg.x0 "L";
+  Asm.inst a (Inst.Opi (Inst.Andi, Reg.a0, Reg.a2, 255));
+  Asm.li a Reg.a7 93;
+  Asm.inst a Inst.Ecall;
+  Asm.dlabel a "data";
+  for _ = 0 to 2048 do
+    Asm.dword64 a (Random.State.int64 rng Int64.max_int)
+  done;
+  Asm.assemble a
+
+let unmapped_addr = 0x3F00_0000_0000
+
+let run_edge_phases mode bin ~f1 ~f2 ~f3 =
+  let mem = Loader.load bin in
+  let m = Machine.create ~mem ~isa:base_isa () in
+  (match mode with
+  | `Step -> Machine.set_block_engine m false
+  | `Block -> Machine.set_superblocks m false
+  | `Super -> ()
+  | `Tiered ->
+      Machine.set_tiered m true;
+      Machine.set_inline_caches m true);
+  Loader.init_machine m bin;
+  let s1 = snapshot m (Machine.run ~fuel:f1 m) in
+  let p = Int64.to_int (Machine.get_reg m Reg.s3) in
+  let page = Memory.page_size in
+  Memory.set_perm mem ~addr:(p + page) ~len:page Memory.perm_r;
+  let s2 = snapshot m (Machine.run ~fuel:f2 m) in
+  Memory.set_perm mem ~addr:(p + page) ~len:page Memory.perm_rw;
+  Memory.set_perm mem ~addr:(p + (2 * page)) ~len:page Memory.perm_none;
+  let s3 = snapshot m (Machine.run ~fuel:f3 m) in
+  Memory.set_perm mem ~addr:(p + (2 * page)) ~len:page Memory.perm_rw;
+  if Memory.is_mapped mem unmapped_addr then Alcotest.fail "probe address is mapped";
+  Machine.set_reg m Reg.a6 (Int64.of_int unmapped_addr);
+  let s4 = snapshot m (Machine.run ~fuel:50_000 m) in
+  ([ s1; s2; s3; s4 ], Memory.peek_bytes mem p (3 * page))
+
+let prop_page_edge_differential =
+  QCheck.Test.make
+    ~name:"ir: page-edge accesses bit-identical on step/block/super/tiered"
+    ~count:12
+    QCheck.(
+      make
+        Gen.(
+          let* seed = int_bound 100_000 in
+          let* f1 = int_range 500 8_000 in
+          let* f2 = int_range 1 4_000 in
+          let* f3 = int_range 1 4_000 in
+          return (seed, f1, f2, f3)))
+    (fun (seed, f1, f2, f3) ->
+      let bin = edge_program (Random.State.make [| seed |]) in
+      let ref_snaps, ref_mem = run_edge_phases `Step bin ~f1 ~f2 ~f3 in
+      List.for_all
+        (fun (label, mode) ->
+          let snaps, mem = run_edge_phases mode bin ~f1 ~f2 ~f3 in
+          let what p =
+            Printf.sprintf "edge seed=%d f1=%d f2=%d f3=%d %s phase%d" seed f1 f2 f3
+              label p
+          in
+          List.for_all2 (fun (i, r) b -> check_snaps ~what:(what i) r b)
+            (List.mapi (fun i r -> (i + 1, r)) ref_snaps)
+            snaps
+          && (Bytes.equal ref_mem mem
+             || QCheck.Test.fail_reportf "%s: page bytes differ" (what 4)))
+        [ ("block", `Block); ("super", `Super); ("tiered", `Tiered) ])
+
 let prop_block_engine_self_modifying =
   QCheck.Test.make
     ~name:"block engine: identical across runtime code patching (lazy rewrite)"
@@ -856,4 +1014,6 @@ let () =
       ("block-engine",
        List.map QCheck_alcotest.to_alcotest
          [ prop_block_engine_native; prop_block_engine_self_modifying ]);
-      ("ir", [ QCheck_alcotest.to_alcotest prop_ir_pipeline_differential ]) ]
+      ("ir",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_ir_pipeline_differential; prop_page_edge_differential ]) ]
