@@ -269,8 +269,7 @@ let write_json ?overhead file (stats : stat list) =
              \"ic_mega_dispatches\": %d, \"tier_promotions\": %d, \"recompiles\": %d, \
              \"ir_units\": %d, \"ir_folded\": %d, \"ir_dead\": %d, \
              \"pc_writes_elided\": %d, \"tlb_checks_elided\": %d, \
-             \"regs_cached_avg\": %.2f, \"translate_s\": %.4f, \"translations\": %d, \
-             \"minor_words_per_inst\": %.4f"
+             \"regs_cached_avg\": %.2f, \"translate_s\": %.4f, \"translations\": %d"
             (tlb_hit_rate s) (chain_hit_rate s) (dispatches s)
             (rate (retired s) (dispatches s))
             (rate (engine s "chimera_side_exits_total") (dispatches s))
@@ -289,7 +288,13 @@ let write_json ?overhead file (stats : stat list) =
             (rate (whole s "chimera_ir_cached_total") (whole s "chimera_ir_blocks_total"))
             (translate_s s.st_whole)
             (whole s "chimera_translations_total")
-            (s.st_minor_words /. float_of_int (max 1 (retired s + s.st_extra)))
+          ^ (* [Gc.minor_words] reads the calling domain only: with cells on
+               worker domains (-j > 1) the ratio would count whatever
+               happened to run here, so the field is omitted *)
+          (if !Par.jobs > 1 then ""
+           else
+             Printf.sprintf ", \"minor_words_per_inst\": %.4f"
+               (s.st_minor_words /. float_of_int (max 1 (retired s + s.st_extra))))
           ^
           (* the regress gate treats absent fields as "nothing to say" *)
           match translate with
@@ -354,7 +359,7 @@ let write_json ?overhead file (stats : stat list) =
 (* Table 1: qualitative comparison                                     *)
 (* ------------------------------------------------------------------ *)
 
-let table1 _quick =
+let table1 _cfg _quick =
   Report.table
     ~title:"Table 1: comparison of Chimera and related works (paper, qualitative)"
     ~header:[ "System"; "NeedSource"; "LowPorting"; "Correctness"; "HighPerf" ]
@@ -375,8 +380,10 @@ let table1 _quick =
 
 let shares quick = if quick then [ 0; 40; 80; 100 ] else [ 0; 20; 40; 60; 80; 100 ]
 
-let fig11_12 quick =
-  let t = timed "measuring task costs" (fun () -> Mixgen.costs ~run_all:Par.run_all ()) in
+let fig11_12 cfg quick =
+  let t =
+    timed "measuring task costs" (fun () -> Mixgen.costs ~config:cfg ~run_all:Par.run_all ())
+  in
   Report.note
     (Printf.sprintf "task ratio ext-on-ext : base = 1 : %.2f (paper setup: 1 : 2)"
        (1. /. Mixgen.task_ratio t));
@@ -448,11 +455,6 @@ let fig11_12 quick =
 
 let cache : Cache.t option ref = ref None
 
-(* Engine-configuration tag baked into every cache key so entries made
-   under one --engine/--no-* combination never collide with another's;
-   the per-cell kind ("chbp", "native", ...) is appended on top. *)
-let cache_tag = ref ""
-
 (* Wall seconds spent preparing from the cache (digest + artifact load +
    plan seed, or rewrite-or-load), accumulated as atomic ns because fig13
    cells run on Par worker domains. This is the "start" cost: on a cold
@@ -472,12 +474,15 @@ let reset_cache_prep () = Atomic.set cache_prep_ns 0
    digest of the freshly loaded memory), export + store after it (store
    key = digest of the memory as the run left it — a self-modifying
    program stores under a key no pristine load ever computes, so its
-   entries are unreachable rather than wrong). *)
-let cache_hooks ~cell ~isa =
+   entries are unreachable rather than wrong). Every key carries the
+   engine configuration's tag, so entries made under one --engine/--no-*
+   combination never collide with another's, and the per-cell kind
+   ("chbp", "native", ...) on top. *)
+let cache_hooks cfg ~cell ~isa =
   match !cache with
   | None -> (None, None)
   | Some c ->
-      let extra = !cache_tag ^ "|" ^ cell in
+      let extra = Machine.config_tag cfg ^ "|" ^ cell in
       let before m =
         let t0 = Unix.gettimeofday () in
         let key = Cache.digest_mem (Machine.mem m) ~isa ~extra in
@@ -494,12 +499,12 @@ let cache_hooks ~cell ~isa =
 (* Rewrite-or-load: the rewrite context is addressed by the binary's code
    digest, so a cache hit replays every CHBP decision without running the
    rewriter. *)
-let rewrite_cached ~cell ~options bin =
+let rewrite_cached cfg ~cell ~options bin =
   match !cache with
   | None -> Chbp.rewrite ~options bin
   | Some c ->
       let t0 = Unix.gettimeofday () in
-      let key = Cache.digest_bin bin ~extra:(!cache_tag ^ "|" ^ cell) in
+      let key = Cache.digest_bin bin ~extra:(Machine.config_tag cfg ^ "|" ^ cell) in
       let ctx =
         match Cache.load_rewrite c ~key with
         | Ok ctx -> ctx
@@ -529,45 +534,45 @@ type row13 = {
   r_straw : int;
 }
 
-let empty_run pr =
+let empty_run cfg pr =
   let bin = Specgen.build pr in
   (* every cell gets plan hooks under a distinct kind tag: the translation
      timer behind translate_s is process-global, so leaving any cell
      uncached would let its cold translations dominate the warm pass *)
   let native =
-    let before_run, after_run = cache_hooks ~cell:"native" ~isa:ext_isa in
-    Measure.native ?before_run ?after_run bin ~isa:ext_isa
+    let before_run, after_run = cache_hooks cfg ~cell:"native" ~isa:ext_isa in
+    Measure.native ~config:cfg ?before_run ?after_run bin ~isa:ext_isa
   in
   let expect = native.Measure.exit_code in
   let chbp =
-    let ctx = rewrite_cached ~cell:"chbp" ~options:(Chbp.default_options Chbp.Empty) bin in
-    let before_run, after_run = cache_hooks ~cell:"chbp" ~isa:ext_isa in
+    let ctx = rewrite_cached cfg ~cell:"chbp" ~options:(Chbp.default_options Chbp.Empty) bin in
+    let before_run, after_run = cache_hooks cfg ~cell:"chbp" ~isa:ext_isa in
     (Measure.check_exit ~expected:expect
-       (fst (Measure.chimera ?before_run ?after_run ctx ~isa:ext_isa)))
+       (fst (Measure.chimera ~config:cfg ?before_run ?after_run ctx ~isa:ext_isa)))
       .Measure.cycles
   in
   let straw =
     let ctx =
-      rewrite_cached ~cell:"straw"
+      rewrite_cached cfg ~cell:"straw"
         ~options:{ (Chbp.default_options Chbp.Empty) with style = `Trap } bin
     in
-    let before_run, after_run = cache_hooks ~cell:"straw" ~isa:ext_isa in
+    let before_run, after_run = cache_hooks cfg ~cell:"straw" ~isa:ext_isa in
     (Measure.check_exit ~expected:expect
-       (fst (Measure.chimera ?before_run ?after_run ctx ~isa:ext_isa)))
+       (fst (Measure.chimera ~config:cfg ?before_run ?after_run ctx ~isa:ext_isa)))
       .Measure.cycles
   in
   let safer =
     let rw = Safer.rewrite ~mode:Chbp.Empty bin in
-    let before_run, after_run = cache_hooks ~cell:"safer" ~isa:ext_isa in
+    let before_run, after_run = cache_hooks cfg ~cell:"safer" ~isa:ext_isa in
     (Measure.check_exit ~expected:expect
-       (fst (Measure.safer ?before_run ?after_run rw ~isa:ext_isa)))
+       (fst (Measure.safer ~config:cfg ?before_run ?after_run rw ~isa:ext_isa)))
       .Measure.cycles
   in
   let armore =
     let rw = Armore.rewrite ~jal_range:Specgen.armore_jal_range bin in
-    let before_run, after_run = cache_hooks ~cell:"armore" ~isa:ext_isa in
+    let before_run, after_run = cache_hooks cfg ~cell:"armore" ~isa:ext_isa in
     (Measure.check_exit ~expected:expect
-       (fst (Measure.armore ?before_run ?after_run rw ~isa:ext_isa)))
+       (fst (Measure.armore ~config:cfg ?before_run ?after_run rw ~isa:ext_isa)))
       .Measure.cycles
   in
   { r_name = pr.Specgen.sp_name; r_native = native.Measure.cycles; r_chbp = chbp;
@@ -577,7 +582,7 @@ let pct native v = 100. *. (float_of_int v /. float_of_int native -. 1.)
 
 let quick_names = [ "perlbench_r"; "gcc_r"; "omnetpp_r"; "cam4_r" ]
 
-let fig13 quick =
+let fig13 cfg quick =
   let profiles =
     if quick then
       List.filter (fun p -> List.mem p.Specgen.sp_name quick_names) Specgen.spec_profiles
@@ -590,7 +595,7 @@ let fig13 quick =
       ~label:(fun pr -> pr.Specgen.sp_name)
       (fun pr ->
         let t0 = Unix.gettimeofday () in
-        let r = empty_run pr in
+        let r = empty_run cfg pr in
         (r, Unix.gettimeofday () -. t0))
       profiles
   in
@@ -620,7 +625,7 @@ let fig13 quick =
   Report.note "paper: CHBP 5.3% avg / 9.6% worst; Safer 15.6% avg / 42.5% worst;";
   Report.note "paper: ARMore 171.5% avg; CHBP beats strawman patching by 60.2%."
 
-let table2 quick =
+let table2 cfg quick =
   let profiles =
     (if quick then
        List.filter (fun p -> List.mem p.Specgen.sp_name quick_names) Specgen.spec_profiles
@@ -634,7 +639,7 @@ let table2 quick =
         let t0 = Unix.gettimeofday () in
         let row =
             let bin = Specgen.build pr in
-            let native = Measure.native bin ~isa:ext_isa in
+            let native = Measure.native ~config:cfg bin ~isa:ext_isa in
             let expect = native.Measure.exit_code in
             let name = pr.Specgen.sp_name in
             let cell sys f =
@@ -651,7 +656,7 @@ let table2 quick =
                     let ctx =
                       Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin
                     in
-                    Measure.chimera ctx ~isa:base_isa)
+                    Measure.chimera ~config:cfg ctx ~isa:base_isa)
               in
               c.Counters.faults_recovered + c.Counters.traps
             in
@@ -659,7 +664,7 @@ let table2 quick =
               let _, c =
                 cell "safer" (fun () ->
                     let rw = Safer.rewrite ~mode:Chbp.Downgrade bin in
-                    Measure.safer rw ~isa:base_isa)
+                    Measure.safer ~config:cfg rw ~isa:base_isa)
               in
               c.Counters.checks
             in
@@ -667,7 +672,7 @@ let table2 quick =
               let run, c =
                 cell "armore" (fun () ->
                     let rw = Armore.rewrite ~jal_range:Specgen.armore_jal_range bin in
-                    Measure.armore rw ~isa:ext_isa)
+                    Measure.armore ~config:cfg rw ~isa:ext_isa)
               in
               (* every indirect flow rebounds: cheap jal slots plus traps *)
               c.Counters.traps + run.Measure.indirect_retired
@@ -681,7 +686,7 @@ let table2 quick =
                           { (Chbp.default_options Chbp.Downgrade) with style = `Trap }
                         bin
                     in
-                    Measure.chimera ctx ~isa:base_isa)
+                    Measure.chimera ~config:cfg ctx ~isa:base_isa)
               in
               c.Counters.traps
             in
@@ -734,7 +739,7 @@ let table2 quick =
            chbp_cells)
   end
 
-let table3 quick =
+let table3 _cfg quick =
   let profiles =
     if quick then
       List.filter (fun p -> List.mem p.Specgen.sp_name quick_names) Specgen.spec_profiles
@@ -790,14 +795,14 @@ let table3 quick =
 (* Figure 14: real-world applications (OpenBLAS)                       *)
 (* ------------------------------------------------------------------ *)
 
-let fig14 quick =
+let fig14 cfg quick =
   let threads = [ 2; 4; 6; 8 ] in
   let kernels = if quick then [ Blas.Dgemm; Blas.Sgemv ] else Blas.kernels in
   List.iter
     (fun k ->
       let s =
         timed (Blas.kernel_name k) (fun () ->
-            Blas.prepare ~run_all:Par.run_all k ~threads)
+            Blas.prepare ~config:cfg ~run_all:Par.run_all k ~threads)
       in
       Report.series
         ~title:
@@ -816,7 +821,7 @@ let fig14 quick =
      let threads = [ 16; 24; 32; 40; 48; 56; 64 ] in
      let s =
        timed "sgemm scalability (SG2042)" (fun () ->
-           Blas.prepare ~n:128 ~run_all:Par.run_all Blas.Sgemm ~threads)
+           Blas.prepare ~config:cfg ~n:128 ~run_all:Par.run_all Blas.Sgemm ~threads)
      in
      Report.series
        ~title:"Figure 14e: sgemm scalability on the 64-core box (vs FAM Ext at 16 threads)"
@@ -835,7 +840,7 @@ let fig14 quick =
 (* Ablations: the design choices DESIGN.md calls out                   *)
 (* ------------------------------------------------------------------ *)
 
-let ablation quick =
+let ablation cfg quick =
   Report.heading "Ablations (CHBP design choices)";
   let profiles =
     List.filter
@@ -849,7 +854,7 @@ let ablation quick =
   in
   let run_down opts bin =
     let ctx = Chbp.rewrite ~options:opts bin in
-    let r, _ = Measure.chimera ctx ~isa:base_isa in
+    let r, _ = Measure.chimera ~config:cfg ctx ~isa:base_isa in
     r.Measure.cycles
   in
   let d = Chbp.default_options Chbp.Downgrade in
@@ -886,7 +891,7 @@ let ablation quick =
   let greg_ctx =
     Chbp.rewrite ~options:{ d with use_gp = false; batch = false } nc_bin
   in
-  let greg_cycles = (fst (Measure.chimera greg_ctx ~isa:base_isa)).Measure.cycles in
+  let greg_cycles = (fst (Measure.chimera ~config:cfg greg_ctx ~isa:base_isa)).Measure.cycles in
   let gst = Chbp.stats greg_ctx in
   Report.note
     (Printf.sprintf
@@ -900,10 +905,10 @@ let ablation quick =
      the split working set (original text + far target section) costs real
      cycles even on the hot path — the component of the paper's 5.3% the
      event-cost model alone cannot see. *)
+  let icfg = { cfg with Machine.icache = Some Icache.default_geometry } in
   let icache_native bin =
     let mem = Loader.load bin in
-    let m = Machine.create ~mem ~isa:ext_isa () in
-    Machine.enable_icache m;
+    let m = Machine.create ~config:icfg ~mem ~isa:ext_isa () in
     Loader.init_machine m bin;
     match Machine.run ~fuel:50_000_000 m with
     | Machine.Exited _ -> (Machine.cycles m, Machine.icache_misses m)
@@ -912,8 +917,7 @@ let ablation quick =
   let icache_chbp bin =
     let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Empty) bin in
     let rt = Chimera_rt.create ctx in
-    let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:ext_isa () in
-    Machine.enable_icache m;
+    let m = Machine.create ~config:icfg ~mem:(Chimera_rt.load rt) ~isa:ext_isa () in
     match Chimera_rt.run rt ~fuel:50_000_000 m with
     | Machine.Exited _ -> (Machine.cycles m, Machine.icache_misses m)
     | _ -> failwith "icache ablation: chbp run failed"
@@ -932,12 +936,12 @@ let ablation quick =
   let rows =
     List.map
       (fun (name, bin) ->
-        let native = (Measure.native bin ~isa:ext_isa).Measure.cycles in
+        let native = (Measure.native ~config:cfg bin ~isa:ext_isa).Measure.cycles in
         let rw = Safer.rewrite ~mode:Chbp.Empty bin in
-        let safer = (fst (Measure.safer rw ~isa:ext_isa)).Measure.cycles in
+        let safer = (fst (Measure.safer ~config:cfg rw ~isa:ext_isa)).Measure.cycles in
         let mv_rt = Multiverse.runtime rw in
         let mv =
-          let m = Machine.create ~mem:(Multiverse.load mv_rt) ~isa:Ext.all () in
+          let m = Machine.create ~config:cfg ~mem:(Multiverse.load mv_rt) ~isa:Ext.all () in
           match Multiverse.run mv_rt ~fuel:100_000_000 m with
           | Machine.Exited _ -> Machine.cycles m
           | _ -> failwith "multiverse run failed"
@@ -961,7 +965,7 @@ let ablation quick =
    it as [retired_extra]. Cleared per experiment. *)
 let tail_from : Metrics.Snapshot.t option ref = ref None
 
-let micro _quick =
+let micro cfg _quick =
   Report.heading "Micro-benchmarks (Bechamel, monotonic clock)";
   let open Bechamel in
   let mm_bin = Programs.matmul ~name:"mm-micro" `Ext ~n:12 in
@@ -972,7 +976,7 @@ let micro _quick =
   in
   let interp_machine =
     let mem = Loader.load mm_bin in
-    Machine.create ~mem ~isa:ext_isa ()
+    Machine.create ~config:cfg ~mem ~isa:ext_isa ()
   in
   (* branch-dense counterpart to interp-1k-insts: a tight loop with an
      unpredictable branch mix, so superblock dispatch pays its side-exit
@@ -980,7 +984,7 @@ let micro _quick =
   let branchy_bin = Programs.branchy ~name:"branchy-micro" ~rounds:1000 () in
   let branchy_machine =
     let mem = Loader.load branchy_bin in
-    Machine.create ~mem ~isa:ext_isa ()
+    Machine.create ~config:cfg ~mem ~isa:ext_isa ()
   in
   let tests =
     [ Test.make ~name:"chbp-rewrite-matmul"
@@ -1043,11 +1047,11 @@ let micro _quick =
                ignore (Memory.load_u64 mm a)
              done)) ]
   in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) () in
+  let bcfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) () in
   let clock = Toolkit.Instance.monotonic_clock in
   List.iter
     (fun elt ->
-      let b = Benchmark.run cfg [ clock ] elt in
+      let b = Benchmark.run bcfg [ clock ] elt in
       let ols =
         Analyze.one
           (Analyze.ols ~r_square:false ~bootstrap:0
@@ -1084,7 +1088,7 @@ let micro _quick =
   tail_from := Some (Metrics.Snapshot.take ());
   let det bin =
     let mem = Loader.load bin in
-    let m = Machine.create ~mem ~isa:ext_isa () in
+    let m = Machine.create ~config:cfg ~mem ~isa:ext_isa () in
     Loader.init_machine m bin;
     ignore (Machine.run ~fuel:2_000_000 m)
   in
@@ -1119,7 +1123,7 @@ let rec rm_rf path =
    isolation contract — scheduling, co-tenants and cache temperature must
    not leak into execution), and every request must reach a clean guest
    exit. Either failing exits nonzero. *)
-let serve_bench quick =
+let serve_bench _cfg quick =
   Report.heading "Serve: multi-tenant rewrite-and-execute server";
   let jobs = max 1 !Par.jobs in
   let ext_workers = jobs / 2 in
@@ -1438,12 +1442,12 @@ let open_out_or_die f =
    empty patching) run unprofiled then profiled, outside every stat window.
    Recorded so the BENCH_PR*.json trajectory tracks the cost of keeping the
    profiler's dispatch-time hook cheap. *)
-let profiler_overhead () =
+let profiler_overhead cfg =
   let bin = Specgen.build (Specgen.find "gcc_r") in
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Empty) bin in
   let run () =
     let t0 = Unix.gettimeofday () in
-    ignore (Measure.chimera ctx ~isa:ext_isa);
+    ignore (Measure.chimera ~config:cfg ctx ~isa:ext_isa);
     Unix.gettimeofday () -. t0
   in
   (* best-of-5 each way, after a warm-up run: the cell is short enough that
@@ -1498,16 +1502,23 @@ let check_gc_budget stats =
 let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
     chrome_file profile_dir compare_file wall_tol cache_dir metrics_file
     serve_flag =
-  (match engine with
-  | `Super ->
-      (* the full adaptive pipeline is the default engine: tiered
-         promotion with profile-guided recompilation plus indirect-jump
-         inline caches; --no-tier / --no-ic ablate them individually *)
-      Machine.set_tiered_default (not no_tier);
-      Machine.set_inline_caches_default (not no_ic)
-  | `Block -> Machine.set_superblocks_default false
-  | `Step -> Machine.set_block_engine_default false);
-  if no_ir then Machine.set_ir_default false;
+  (* The one engine configuration every experiment's machines are created
+     with. The full adaptive pipeline is the default engine: tiered
+     promotion with profile-guided recompilation plus indirect-jump inline
+     caches; --no-tier / --no-ic ablate them individually. Tiering and the
+     caches exist only on the superblock engine. *)
+  let cfg =
+    let super = engine = `Super in
+    { Machine.default_config with
+      engine =
+        (match engine with
+        | `Super -> Machine.Superblock
+        | `Block -> Machine.Block
+        | `Step -> Machine.Step);
+      ir = not no_ir;
+      tiered = super && not no_tier;
+      inline_caches = super && not no_ic }
+  in
   Par.jobs := (if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs);
   (* fail on unwritable output paths before the run, not after *)
   let check_writable = function
@@ -1538,12 +1549,7 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
         Printf.eprintf "--cache and --profile are mutually exclusive\n";
         exit 2
       end;
-      cache := Some (Cache.open_dir d);
-      cache_tag :=
-        Printf.sprintf "eng=%s;ir=%b;tier=%b;ic=%b"
-          (match engine with `Super -> "super" | `Block -> "block" | `Step -> "step")
-          (not no_ir) (not no_tier) (not no_ic);
-      Machine.set_record_default true);
+      cache := Some (Cache.open_dir d));
   let trace_oc =
     match trace_file with
     | None -> None
@@ -1605,7 +1611,7 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
         let d0 = Obs.events_dropped () in
         let w0 = Unix.gettimeofday () in
         let mw0 = Gc.minor_words () in
-        traced_phase n (fun () -> (List.assoc n experiments) quick);
+        traced_phase n (fun () -> (List.assoc n experiments) cfg quick);
         let wall = ref (Unix.gettimeofday () -. w0) in
         let words = ref (Gc.minor_words () -. mw0) in
         (* Under --cache, a cached experiment runs a second, warm pass
@@ -1623,7 +1629,7 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
           reset_cache_prep ();
           let w1 = Unix.gettimeofday () in
           let mw1 = Gc.minor_words () in
-          traced_phase (n ^ "/warm") (fun () -> (List.assoc n experiments) quick);
+          traced_phase (n ^ "/warm") (fun () -> (List.assoc n experiments) cfg quick);
           wall := Unix.gettimeofday () -. w1;
           words := Gc.minor_words () -. mw1;
           let warm = Metrics.Snapshot.counter_value (Metrics.Snapshot.take ()) in
@@ -1699,7 +1705,7 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
     requested;
   let overhead =
     match (json_file, profile_dir) with
-    | Some _, Some _ -> Some (profiler_overhead ())
+    | Some _, Some _ -> Some (profiler_overhead cfg)
     | _ -> None
   in
   Option.iter (fun f -> write_json ?overhead f (List.rev !stats)) json_file;

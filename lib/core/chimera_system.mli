@@ -21,10 +21,12 @@ type prepared =
   | Native  (** the original binary runs as-is on this class *)
   | Rewritten of Chimera_rt.t  (** CHBP-rewritten, with runtime mechanisms *)
 
-val deploy : ?costs:Costs.t -> ?upgrade:bool -> Binfile.t -> cores:Ext.t list -> t
-(** Prepare the binary for every core class. [upgrade] (default true)
-    vectorizes recognizable loops for classes with extensions the binary
-    does not use. *)
+val deploy :
+  ?costs:Costs.t -> ?config:Machine.config -> ?upgrade:bool -> Binfile.t -> cores:Ext.t list -> t
+(** Prepare the binary for every core class. [config] is the engine every
+    {!run} creates its hart with (default {!Machine.default_config}).
+    [upgrade] (default true) vectorizes recognizable loops for classes with
+    extensions the binary does not use. *)
 
 val original : t -> Binfile.t
 val classes : t -> Ext.t list

@@ -14,7 +14,9 @@ let pow2 n = n > 0 && n land (n - 1) = 0
    what a trampoline-split working set produces. *)
 let burst_threshold = 8
 
-let create ?(sets = 512) ?(line = 64) () =
+let default_geometry = (512, 64)
+
+let create ?(sets = fst default_geometry) ?(line = snd default_geometry) () =
   if not (pow2 sets && pow2 line) then
     invalid_arg "Icache.create: sets and line must be powers of two";
   { sets; line; tags = Array.make sets (-1); misses = 0; accesses = 0;

@@ -4,14 +4,18 @@
     microarchitectural: trampolines split a hot region between the original
     text and a far target section, doubling its instruction-cache footprint.
     The simulator's default cost model charges nothing for that; enabling
-    this model (see {!Machine.enable_icache}) makes it measurable. The
-    default geometry is 512 sets of one 64-byte line (32 KiB), roughly an
-    in-order core's L1i. *)
+    this model (the [icache] field of {!Machine.config}) makes it
+    measurable. *)
 
 type t
 
+val default_geometry : int * int
+(** [(sets, line bytes)] = 512 sets of one 64-byte line (32 KiB), roughly
+    an in-order core's L1i. *)
+
 val create : ?sets:int -> ?line:int -> unit -> t
-(** [sets] and [line] must be powers of two. *)
+(** [sets] and [line] (default {!default_geometry}) must be powers of
+    two. *)
 
 val access : t -> int -> bool
 (** [access t addr] is [true] on a hit; a miss fills the line. When tracing

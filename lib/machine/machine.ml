@@ -5,6 +5,16 @@
    bytes the verdict depends on. *)
 type centry = Cok of Inst.t * int * int | Cill of string * int * int
 
+type engine = Step | Block | Superblock
+
+type config = {
+  engine : engine;
+  ir : bool;
+  tiered : bool;
+  inline_caches : bool;
+  icache : (int * int) option;
+}
+
 type view = {
   vmem : Memory.t;
   cache : (int, centry) Hashtbl.t;
@@ -84,55 +94,32 @@ and t = {
      bumps [retired] and everything charged beyond one cycle per retired
      instruction (vector ops, icache misses, runtime events) lands here *)
   mutable cycles_extra : int;
-  mutable icache : Icache.t option;
-  mutable block_engine : bool;
-  mutable chain : bool;
+  mutable cfg : config;
+      (** the engine configuration, validated at {!create}; only
+          [reconfigure] (behind the perfbench setters) replaces it *)
+  mutable icache : Icache.t option;  (** the model [cfg.icache] asks for *)
   mutable code_epoch : int;
       (** advanced on every {!invalidate_code} and ISA change; blocks whose
           [echeck] equals it are valid with one compare, and chain links are
           implicitly severed when it moves (Tblock.revalidate) *)
   mutable chain_hits : int;  (** dispatches served by a chain link *)
   mutable tb_dispatches : int;  (** total block dispatches (chained or not) *)
-  mutable superblocks : bool;
-      (** compile inlined jumps/branches and fused pairs; off restricts
-          translation to PR3-style straight-line blocks (the differential
-          harness exercises both) *)
   mutable side_exits : int;  (** dispatches that left a block via a taken
                                  inlined branch *)
   mutable fused_pairs : int;
       (** instructions merged into multi-instruction units at translation
           time (Σ (unit width − 1) over translated blocks) *)
-  mutable ir : bool;
-      (** lower straight-line runs through the linear IR ({!Tir}) with
-          constant propagation and dead-write elimination; off falls back
-          to direct per-instruction closure compilation (the bench's
-          [--no-ir] ablation) *)
-  mutable tiered : bool;
-      (** hotness-driven tiered execution: entries are interpreted until
-          warm, then climb block → superblock → IR-optimized, and hot
-          blocks whose observed side-exit profile contradicts the static
-          BTFN layout are recompiled with trace-style layout (the bench's
-          [--no-tier] ablation turns this off and translates everything at
-          the top tier immediately) *)
-  mutable ic_on : bool;
-      (** compile inline caches into indirect terminators (the bench's
-          [--no-ic] ablation) *)
   mutable pending_ic : icsite option;
       (** set by an indirect terminator closure as it completes; the next
           dispatch consumes it to predict the successor block through the
           site's inline cache instead of the single [link_taken] slot *)
-  mutable relayout : (int * bool) list;
-      (** translation-scoped recompile plan: [(branch pc, flip)] pairs from
-          the observed exit profile — [flip = false] cuts the block at the
-          branch (terminator), [flip = true] inverts it and continues
-          decoding at the taken target; empty outside recompilation *)
   mutable ic_hits : int;  (** dispatches predicted by an inline cache *)
   mutable ic_misses : int;  (** IC probes that fell back to the block table *)
   mutable ic_mega_d : int;  (** dispatches through megamorphic sites *)
   mutable tier_promotions : int;
   mutable recompiles : int;  (** profile-guided layout recompilations *)
-  (* per-translation IR pass statistics, flushed to process atomics once
-     per [run] like the other counters *)
+  (* per-translation IR pass statistics, added to the metrics registry
+     once per [run] like the other counters *)
   mutable ir_blocks : int;  (** translations that produced IR units *)
   mutable ir_units : int;  (** execution units emitted from IR runs *)
   mutable ir_folded : int;  (** ops folded to constants *)
@@ -273,39 +260,27 @@ let new_view mem =
     ics = Hashtbl.create 64;
     skels = Hashtbl.create 64 }
 
-(* Process-wide default for newly created machines; the bench driver's
-   --engine flag flips it so whole experiments can run on the single-step
-   reference engine for differential checks. *)
-let block_engine_default = ref true
-let set_block_engine_default on = block_engine_default := on
+let default_config =
+  { engine = Superblock; ir = true; tiered = false; inline_caches = false; icache = None }
 
-(* Same pattern for superblock formation: the bench driver's --engine flag
-   can pin whole experiments to plain straight-line blocks so the three
-   engines (step, block, superblock) stay differentially comparable. *)
-let superblocks_default = ref true
-let set_superblocks_default on = superblocks_default := on
+(* Reject a configuration the engine cannot honour before it reaches
+   execution. Tiering climbs block -> superblock -> IR, so without
+   superblock formation a tier-2 request would re-emit the tier-1 shape
+   and promote forever; the step engine translates nothing, so tiering and
+   inline caches would be silently ignored there. *)
+let validate c =
+  if c.tiered && c.engine <> Superblock then
+    invalid_arg "Machine: tiering needs the superblock engine";
+  if c.inline_caches && c.engine = Step then
+    invalid_arg "Machine: inline caches need a translating engine"
 
-(* IR lowering default for new machines; the bench driver's --no-ir flag
-   clears it so the ablation row quantifies the IR passes in isolation. *)
-let ir_default = ref true
-let set_ir_default on = ir_default := on
+let config_tag c =
+  Printf.sprintf "eng=%s;ir=%b;tier=%b;ic=%b;icache=%s"
+    (match c.engine with Step -> "step" | Block -> "block" | Superblock -> "super")
+    c.ir c.tiered c.inline_caches
+    (match c.icache with None -> "off" | Some (sets, line) -> Printf.sprintf "%dx%d" sets line)
 
-(* Tiered execution and indirect-branch inline caches default OFF at the
-   library level (a fresh machine behaves exactly like the PR6 engine); the
-   bench driver turns both on for its default runs and clears them for the
-   --no-tier / --no-ic ablations. *)
-let tiered_default = ref false
-let set_tiered_default on = tiered_default := on
-let inline_caches_default = ref false
-let set_inline_caches_default on = inline_caches_default := on
-
-(* Skeleton recording default for new machines; the bench driver's --cache
-   flag and the CLI's cache prewarm turn it on so finished runs can export
-   their translations. Recording costs a few list conses per translation —
-   negligible next to the translation itself — but defaults off to keep
-   non-caching runs allocation-identical with earlier PRs. *)
-let record_default = ref false
-let set_record_default on = record_default := on
+let icache_model = Option.map (fun (sets, line) -> Icache.create ~sets ~line ())
 
 (* Tier thresholds. Heat is counted per interpreted instruction at an
    untranslated entry; hot is counted per dispatch of a translated block.
@@ -337,7 +312,9 @@ let relayout_min_sample = 16
    megamorphic. *)
 let ic_poly_limit = 8
 
-let create ?(vlen = 32) ?(costs = Costs.default) ~mem ~isa () =
+let create ?(config = default_config) ?(vlen = 32) ?(costs = Costs.default) ~mem
+    ~isa () =
+  validate config;
   let view = new_view mem in
   { cur = view;
     views = [ view ];
@@ -354,20 +331,14 @@ let create ?(vlen = 32) ?(costs = Costs.default) ~mem ~isa () =
     vector_retired = 0;
     indirect_retired = 0;
     cycles_extra = 0;
-    icache = None;
-    block_engine = !block_engine_default;
-    chain = true;
+    cfg = config;
+    icache = icache_model config.icache;
     code_epoch = 0;
     chain_hits = 0;
     tb_dispatches = 0;
-    superblocks = !superblocks_default;
     side_exits = 0;
     fused_pairs = 0;
-    ir = !ir_default;
-    tiered = !tiered_default;
-    ic_on = !inline_caches_default;
     pending_ic = None;
-    relayout = [];
     ic_hits = 0;
     ic_misses = 0;
     ic_mega_d = 0;
@@ -381,7 +352,7 @@ let create ?(vlen = 32) ?(costs = Costs.default) ~mem ~isa () =
     ir_tlb_elided = 0;
     ir_cached = 0;
     ir_state = Tir.state_create ();
-    rec_on = !record_default;
+    rec_on = false;
     translations = 0;
     prof = Profile.global () }
 
@@ -453,14 +424,6 @@ let invalidate_code t ~addr ~len =
      fast check and fall back to the full stamp check (or re-translation),
      and every chain link established before the patch stops matching *)
   t.code_epoch <- t.code_epoch + 1
-
-let enable_icache ?sets ?line t =
-  t.icache <- Some (Icache.create ?sets ?line ());
-  (* cached blocks may contain multi-instruction IR units, which would
-     bypass the dispatch loop's per-fetch accounting; drop them so
-     retranslation emits one unit per instruction ([use_ir] is false under
-     the model) *)
-  List.iter (fun v -> Hashtbl.reset v.blocks) t.views
 
 let icache_misses t =
   match t.icache with None -> 0 | Some ic -> Icache.misses ic
@@ -970,9 +933,6 @@ let step_dispatch ~handlers t =
       let inst, size = fetch_decode t in
       exec_retire t inst size)
 
-let icache_miss_count t =
-  match t.icache with None -> 0 | Some ic -> Icache.misses ic
-
 let step ?(handlers = default_handlers) t =
   match t.prof with
   | None -> step_dispatch ~handlers t
@@ -993,11 +953,11 @@ let step ?(handlers = default_handlers) t =
       let r0 = t.retired and c0 = cycles t in
       let mem0 = t.cur.vmem in
       let tlb0 = Memory.tlb_misses_live mem0 in
-      let ic0 = icache_miss_count t in
+      let ic0 = icache_misses t in
       let res = step_dispatch ~handlers t in
       Profile.step_end p ~retired:(t.retired - r0) ~cycles:(cycles t - c0)
         ~tlb:(Memory.tlb_misses_live mem0 - tlb0)
-        ~icache:(icache_miss_count t - ic0)
+        ~icache:(icache_misses t - ic0)
         ~target:t.pc;
       res
 
@@ -1046,12 +1006,10 @@ let ic_for t pc =
 
 (* Recompile-plan lookup for a branch at [pc]; a plan holds at most the
    branches of one block, so a list scan is fine at translation time. *)
-let relayout_of t pc =
-  let rec go = function
-    | [] -> None
-    | (p, flip) :: tl -> if p = pc then Some flip else go tl
-  in
-  match t.relayout with [] -> None | l -> go l
+let rec relayout_of relayout pc =
+  match relayout with
+  | [] -> None
+  | (p, flip) :: tl -> if p = pc then Some flip else relayout_of tl pc
 
 (* Compile one instruction the IR does not lower: control flow, block
    terminators and the interpreter fallback. Straight-line instructions
@@ -1060,11 +1018,13 @@ let relayout_of t pc =
    indirect/linking control flow terminate the block (they stay decoded and
    run through {!step_decoded}, so handler delivery and fault pcs are
    identical to the slow path). Direct jumps that do not link ra and
-   conditional branches are inlined when superblock formation is on: the
-   jump closure transfers to its static target, the branch closure either
-   falls through or leaves the block through {!Side_exit} — in both cases
-   pc is exact at every block exit, so faults and chaining see the same
-   machine states as the step engine. Anything the current capability set
+   conditional branches are inlined when the translation's block shape has
+   superblock formation ([sb]), laid out by its recompile plan
+   ([relayout], empty outside recompilation): the jump closure transfers
+   to its static target, the branch closure either falls through or
+   leaves the block through {!Side_exit} — in both cases pc is exact at
+   every block exit, so faults and chaining see the same machine states as
+   the step engine. Anything the current capability set
    cannot execute stops the block so the slow path raises the precise
    illegal-instruction fault. Every compiled closure replicates [exec]
    exactly and then retires.
@@ -1076,7 +1036,7 @@ let relayout_of t pc =
    [run_blocks] re-synchronizes pc at every dispatch end (terminator pc,
    fall-through, or the fuel-limited resume point), so pc is exact at
    every point the machine state is observable. *)
-let compile_op t ~pc inst size =
+let compile_op t ~sb ~relayout ~pc inst size =
   match inst with
   | Inst.Ecall | Inst.Ebreak | Inst.C_ebreak | Inst.Xcheck_jalr _ ->
       Tblock.Term
@@ -1091,7 +1051,7 @@ let compile_op t ~pc inst size =
       else
         let im = Int64.of_int imm in
         let link = Int64.of_int (pc + size) in
-        if t.ic_on then
+        if t.cfg.inline_caches then
           (* the closure publishes its inline-cache site as it completes;
              the dispatch loop consumes it to predict the successor block
              (monomorphic slot → polymorphic table → block table). The
@@ -1122,7 +1082,7 @@ let compile_op t ~pc inst size =
   | Inst.C_jr rs1 ->
       let o1 = roff rs1 in
       if not (Ext.mem Ext.C t.isa) then Tblock.Term
-      else if t.ic_on then
+      else if t.cfg.inline_caches then
         let pic = Some (ic_for t pc) in
         Tblock.Term_fn
           (fun t ->
@@ -1141,7 +1101,7 @@ let compile_op t ~pc inst size =
       if not (Ext.mem Ext.C t.isa) then Tblock.Term
       else
         let link = Int64.of_int (pc + size) in
-        if t.ic_on then
+        if t.cfg.inline_caches then
           let pic = Some (ic_for t pc) in
           Tblock.Term_fn
             (fun t ->
@@ -1166,7 +1126,7 @@ let compile_op t ~pc inst size =
          shadow call stack sees it; any other link register is inlined *)
       let target = pc + off and od = roff rd in
       if not (target_aligned t target) then Tblock.Term
-      else if (not t.superblocks) || Reg.equal rd Reg.ra then
+      else if (not sb) || Reg.equal rd Reg.ra then
         (* calls (and the block engine's jumps) end the block, but the
            aligned direct transfer itself is event-free: run it as a
            terminator closure *)
@@ -1188,7 +1148,7 @@ let compile_op t ~pc inst size =
       let target = pc + off in
       if not (Ext.supports t.isa inst) || not (target_aligned t target) then
         Tblock.Term
-      else if not t.superblocks then
+      else if not sb then
         Tblock.Term_fn
           (fun t ->
             t.pc <- target;
@@ -1222,8 +1182,8 @@ let compile_op t ~pc inst size =
               else t.pc <- fall;
               retire_scalar t)
         in
-        match relayout_of t pc with
-        | Some true when t.superblocks && off > 0 ->
+        match relayout_of relayout pc with
+        | Some true when sb && off > 0 ->
             (* observed mostly-taken: trace layout — invert the guard so
                the hot taken path falls through into the rest of the block
                (decoding continues at the target); the now-cold
@@ -1242,7 +1202,7 @@ let compile_op t ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not t.superblocks) || off <= 0 then as_term ()
+            if (not sb) || off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -1267,8 +1227,8 @@ let compile_op t ~pc inst size =
               else t.pc <- fall;
               retire_scalar t)
         in
-        match relayout_of t pc with
-        | Some true when t.superblocks && off > 0 ->
+        match relayout_of relayout pc with
+        | Some true when sb && off > 0 ->
             Tblock.Jump
               ( (fun t ->
                   if rget t o1 = 0L then begin
@@ -1283,7 +1243,7 @@ let compile_op t ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not t.superblocks) || off <= 0 then as_term ()
+            if (not sb) || off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -1308,8 +1268,8 @@ let compile_op t ~pc inst size =
               else t.pc <- target;
               retire_scalar t)
         in
-        match relayout_of t pc with
-        | Some true when t.superblocks && off > 0 ->
+        match relayout_of relayout pc with
+        | Some true when sb && off > 0 ->
             Tblock.Jump
               ( (fun t ->
                   if rget t o1 = 0L then begin
@@ -1324,7 +1284,7 @@ let compile_op t ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not t.superblocks) || off <= 0 then as_term ()
+            if (not sb) || off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -1906,17 +1866,23 @@ let emit_plain (ops : Tir.op array) =
 let lower_op t ~pc inst size =
   if Ext.supports t.isa inst then Tir.lower ~pc inst size else None
 
-(* Whether a translation optimizes its IR runs ({!emit_run}) or emits them
-   plainly ({!emit_plain}); read under the tier override, so true exactly
-   at tier 3 with the IR on and no icache model. *)
-let use_ir t = t.ir && t.icache = None
+(* The block shape a translation at [tier] compiles under config [c]:
+   [sb], superblock formation, from tier 2 on a superblock engine; [opt],
+   the IR passes ({!emit_run} rather than {!emit_plain}), at tier 3 with
+   the IR on and no icache model (per-fetch accounting needs one unit per
+   instruction). [tier_of] labels the shape actually compiled, so an
+   untiered --engine block machine records its IR-optimized straight-line
+   blocks as tier 3. *)
+let shape c tier =
+  (tier >= 2 && c.engine = Superblock, tier >= 3 && c.ir && c.icache = None)
 
-(* Map a requested tier to the shape flags this machine can honor: tier 1
-   is a straight-line block, tier 2 adds superblock formation, tier 3 adds
-   the IR pipeline — each capped by the machine's own ablation flags, so a
-   --engine block machine never climbs past tier 1 (and never churns
-   retranslating into the same shape). *)
-let tier_cap t = if use_ir t then 3 else if t.superblocks then 2 else 1
+let tier_of (sb, opt) = if opt then 3 else if sb then 2 else 1
+
+(* The highest tier a block can climb to. [validate] guarantees that a
+   tiered machine forms superblocks, so each promotion below the cap
+   changes the compiled shape (tier 1 -> 2 adds superblocks, 2 -> 3 the
+   IR passes) and never retranslates into the shape it already has. *)
+let tier_cap c = tier_of (shape c 3)
 
 let translate_block ?(tier = 3) ?(relayout = []) t entry =
   let t0 = Unix.gettimeofday () in
@@ -1924,24 +1890,8 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
   let ir_units = ref 0 and tlb_elided = ref 0 in
   let steps = ref [] in
   Tir.state_reset t.ir_state;
-  (* Scope the block shape to the requested tier by overriding the machine
-     flags for the duration of this translation: [compile_op] and the
-     emitter choice ([use_ir]) read them directly. The effective tier
-     (after the machine's own caps) is recorded on the block for the
-     promotion driver and the profile report. *)
-  let sb0 = t.superblocks and ir0 = t.ir in
-  if tier <= 1 then t.superblocks <- false;
-  if tier <= 2 then t.ir <- false;
-  t.relayout <- relayout;
-  let etier = tier_cap t in
+  let ((sb, optimized) as sh) = shape t.cfg tier in
   let b =
-    Fun.protect
-      ~finally:(fun () ->
-        t.superblocks <- sb0;
-        t.ir <- ir0;
-        t.relayout <- [])
-    @@ fun () ->
-    let optimized = use_ir t in
     Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
       ~decode:(fun pc ->
         match decode_at t pc with
@@ -1962,7 +1912,7 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
             :: !steps;
         r)
       ~compile:(fun ~pc inst size ->
-        let c = compile_op t ~pc inst size in
+        let c = compile_op t ~sb ~relayout ~pc inst size in
         (* maintain the translation-time register state across non-IR
            units: an inlined jal writes a known link value, interpreter
            and vector units have unknown register effects, inlined
@@ -1980,7 +1930,7 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
         (if optimized then emit_run t stats ir_units tlb_elided else emit_plain)
       entry
   in
-  Tblock.set_tier b ~tier:etier ~relaid:(relayout <> []);
+  Tblock.set_tier b ~tier:(tier_of sh) ~relaid:(relayout <> []);
   if t.rec_on then
     Hashtbl.replace t.cur.skels entry
       { sk_steps = Array.of_list (List.rev !steps); sk_relayout = relayout };
@@ -2026,16 +1976,17 @@ let publish_block t entry b =
 (* Block-table probe at the current pc. [None] means the entry is still
    below the first tier threshold on a tiered machine: the caller must
    interpret one instruction instead of dispatching a block. Untiered
-   machines translate on first touch at the top tier their flags allow,
-   exactly the PR6 behavior. *)
-let block_or_cold t =
+   machines translate on first touch at the top tier their config allows,
+   exactly the PR6 behavior. [tiered] is the caller's hoisted
+   [t.cfg.tiered]. *)
+let block_or_cold ~tiered t =
   match Hashtbl.find_opt t.cur.blocks t.pc with
   | Some b as hit when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
       if !Obs.enabled then
         Obs.emit (Obs.Tb_hit { entry = t.pc; body = Tblock.body_length b });
       hit
   | Some _ | None ->
-      if not t.tiered then begin
+      if not tiered then begin
         let b = translate_block t t.pc in
         publish_block t t.pc b;
         Some b
@@ -2109,11 +2060,11 @@ let replace_block t b ~tier ~relayout =
    the next threshold (a tier-2 block's observed exit profile rides along
    into the tier-3 translation); a top-tier block that keeps side-exiting
    gets one profile-guided recompile. Both paths replace the block, so
-   the counter restarts and the next check measures the new layout. *)
-let maybe_promote t b =
+   the counter restarts and the next check measures the new layout.
+   [cap] is the caller's hoisted [tier_cap t.cfg]. *)
+let maybe_promote t ~cap b =
   let hot = Tblock.tick_hot b in
   let tier = b.Tblock.tier in
-  let cap = tier_cap t in
   if tier < cap && hot >= (if tier = 1 then tier2_hot else tier3_hot) then begin
     let relayout = if tier >= 2 then relayout_plan b else [] in
     let exits = Tblock.exits_total b in
@@ -2209,7 +2160,7 @@ let ic_train t s pc nb =
    like a link follow); a fall-through to the block table is an IC miss
    and trains the site; a dispatch through a megamorphic site is counted
    separately — the site has stopped predicting, so it is neither. *)
-let ic_dispatch t s pc =
+let ic_dispatch ~tiered t s pc =
   match s.site_tb with
   | Some nb as hit when s.site_target = pc && Tblock.epoch_current nb t.code_epoch ->
       s.site_hits <- s.site_hits + 1;
@@ -2245,10 +2196,10 @@ let ic_dispatch t s pc =
       | None ->
           if s.site_mega then begin
             t.ic_mega_d <- t.ic_mega_d + 1;
-            block_or_cold t
+            block_or_cold ~tiered t
           end
           else (
-            match block_or_cold t with
+            match block_or_cold ~tiered t with
             | None -> None  (* entry still interpreted: nothing to cache *)
             | Some nb ->
                 s.site_misses <- s.site_misses + 1;
@@ -2295,6 +2246,9 @@ let run_blocks ~handlers ~fuel t =
      The option is the one the lookup returned, so chaining allocates
      nothing per dispatch. *)
   let prev = ref None and prev_v = ref t.cur in
+  (* the configuration is fixed for the run: read it once, not per
+     dispatch *)
+  let tiered = t.cfg.tiered and cap = tier_cap t.cfg and icache = t.icache in
   while !result = None && !remaining > 0 do
     (* an indirect terminator publishes its inline-cache site as it
        completes; consume it here (or drop it, if this dispatch is not a
@@ -2307,7 +2261,7 @@ let run_blocks ~handlers ~fuel t =
       | Some pb when !prev_v == t.cur -> (
           let pc = t.pc in
           match pic with
-          | Some s -> ic_dispatch t s pc
+          | Some s -> ic_dispatch ~tiered t s pc
           | None -> (
               let to_fall = pc = pb.Tblock.fall in
               match
@@ -2322,7 +2276,7 @@ let run_blocks ~handlers ~fuel t =
                       (Obs.Tb_hit { entry = pc; body = Tblock.body_length nb });
                   link
               | _ -> (
-                  match block_or_cold t with
+                  match block_or_cold ~tiered t with
                   | Some nb ->
                       if to_fall then Tblock.set_link_fall pb nb
                       else Tblock.set_link_taken pb nb;
@@ -2331,7 +2285,7 @@ let run_blocks ~handlers ~fuel t =
                           (Obs.Tb_chain { src = pb.Tblock.entry; dst = pc });
                       Some nb
                   | None -> None)))
-      | _ -> block_or_cold t
+      | _ -> block_or_cold ~tiered t
     in
     let v0 = t.cur in
     prev := None;
@@ -2344,7 +2298,7 @@ let run_blocks ~handlers ~fuel t =
         (match step ~handlers t with Some s -> result := Some s | None -> ());
         decr remaining
     | Some b0 ->
-    let b = if t.tiered then maybe_promote t b0 else b0 in
+    let b = if tiered then maybe_promote t ~cap b0 else b0 in
     let bo = if b == b0 then bo else Some b in
     t.tb_dispatches <- t.tb_dispatches + 1;
     if Tblock.degenerate b then begin
@@ -2391,7 +2345,7 @@ let run_blocks ~handlers ~fuel t =
       let c0 = if prow == None then 0 else cycles t in
       let mem0 = t.cur.vmem in
       let tlb0 = if prow == None then 0 else Memory.tlb_misses_live mem0 in
-      let ic0 = if prow == None then 0 else icache_miss_count t in
+      let ic0 = if prow == None then 0 else icache_misses t in
       let ops = b.Tblock.ops in
       let nunits = Array.length ops in
       let starts = b.Tblock.starts in
@@ -2418,7 +2372,7 @@ let run_blocks ~handlers ~fuel t =
       let u = ref 0 in
       let fault =
         try
-          (match t.icache with
+          (match icache with
           | None ->
               while !u < ulimit do
                 (Array.unsafe_get ops !u) t;
@@ -2474,11 +2428,12 @@ let run_blocks ~handlers ~fuel t =
             t.side_exits <- t.side_exits + 1;
             (* the raising unit's index is the observed exit profile that
                profile-guided recompilation reads *)
-            if t.tiered then Tblock.note_exit b !u;
+            if tiered then Tblock.note_exit b !u;
             if !Obs.enabled then
               Obs.emit
                 (Obs.Tb_side_exit { entry = b.Tblock.entry; target = t.pc });
-            if t.chain then begin prev := bo; prev_v := v0 end
+            prev := bo;
+            prev_v := v0
           end
           else if full then (
             (* closures write pc lazily (only fault-capable ones set their
@@ -2487,24 +2442,28 @@ let run_blocks ~handlers ~fuel t =
             match b.Tblock.term with
             | Some (inst, size) when !remaining > 0 -> (
                 match b.Tblock.term_fn with
-                | Some f when t.icache = None ->
+                | Some f when icache = None ->
                     (* event-free terminator: the closure sets the final pc
                        and retires — no interpreter round trip (with the
                        icache on, fall through so fetch charges apply) *)
                     f t;
                     decr remaining;
-                    if t.chain then begin prev := bo; prev_v := v0 end
+                    prev := bo;
+                    prev_v := v0
                 | _ ->
                     t.pc <- b.Tblock.fall - size;
                     term_tried := true;
                     (match step_decoded ~handlers t inst size with
                     | Some s -> result := Some s
-                    | None -> if t.chain then begin prev := bo; prev_v := v0 end);
+                    | None ->
+                        prev := bo;
+                        prev_v := v0);
                     decr remaining)
             | Some (_, size) -> t.pc <- b.Tblock.fall - size
             | None ->
                 t.pc <- b.Tblock.fall;
-                if t.chain then begin prev := bo; prev_v := v0 end)
+                prev := bo;
+                prev_v := v0)
           else
             (* fuel-limited prefix: resume at the first unexecuted
                instruction *)
@@ -2523,7 +2482,7 @@ let run_blocks ~handlers ~fuel t =
           Profile.block_dispatch p row ~executed:body_retired ~retired:dretired
             ~cycles:(cycles t - c0)
             ~tlb:(Memory.tlb_misses_live mem0 - tlb0)
-            ~icache:(icache_miss_count t - ic0) ~fault:faulted ~target:t.pc
+            ~icache:(icache_misses t - ic0) ~fault:faulted ~target:t.pc
       | _ -> ());
       (* A multi-instruction unit split by the fuel limit leaves up to
          [width - 1] units of fuel unspent on this block; burn them through
@@ -2581,8 +2540,9 @@ let flush_run_stats t =
 let run ?(handlers = default_handlers) ~fuel t =
   let r0 = t.retired in
   let s =
-    if t.block_engine then run_blocks ~handlers ~fuel t
-    else run_step ~handlers ~fuel t
+    match t.cfg.engine with
+    | Step -> run_step ~handlers ~fuel t
+    | Block | Superblock -> run_blocks ~handlers ~fuel t
   in
   Metrics.add m_retired (t.retired - r0);
   flush_run_stats t;
@@ -2616,54 +2576,46 @@ let observed_translate () =
   ( float_of_int ns *. 1e-9,
     Metrics.Snapshot.counter_value snap "chimera_translations_total" )
 
-let set_block_engine t on = t.block_engine <- on
-let block_engine t = t.block_engine
-let set_block_chaining t on = t.chain <- on
-let block_chaining t = t.chain
-let set_superblocks t on = t.superblocks <- on
-let superblocks t = t.superblocks
-
-let set_ir t on =
-  if t.ir <> on then begin
-    t.ir <- on;
-    (* translated blocks embed the choice; drop them so both settings see
-       freshly translated code *)
-    List.iter (fun v -> Hashtbl.reset v.blocks) t.views;
-    t.code_epoch <- t.code_epoch + 1
-  end
-
-let ir t = t.ir
-
-let set_tiered t on =
-  if t.tiered <> on then begin
-    t.tiered <- on;
-    (* blocks carry tier state and hotness counters; restart from a clean
-       slate so the two settings never mix (same discipline as set_ir) *)
+(* Replace the configuration of a live machine (the perfbench setters
+   below). Translated blocks, heat counters and inline-cache sites embed
+   the old configuration, so a change drops them all and bumps the code
+   epoch: every later dispatch sees freshly translated code. *)
+let reconfigure t c =
+  if c <> t.cfg then begin
+    validate c;
+    if c.icache <> t.cfg.icache then t.icache <- icache_model c.icache;
+    t.cfg <- c;
     List.iter
       (fun v ->
         Hashtbl.reset v.blocks;
-        Hashtbl.reset v.heat)
-      t.views;
-    t.code_epoch <- t.code_epoch + 1
-  end
-
-let tiered t = t.tiered
-
-let set_inline_caches t on =
-  if t.ic_on <> on then begin
-    t.ic_on <- on;
-    (* indirect terminator closures embed the choice (and capture site
-       records); drop blocks and sites so the setting is uniform *)
-    List.iter
-      (fun v ->
-        Hashtbl.reset v.blocks;
+        Hashtbl.reset v.heat;
         Hashtbl.reset v.ics)
       t.views;
     t.pending_ic <- None;
     t.code_epoch <- t.code_epoch + 1
   end
 
-let inline_caches t = t.ic_on
+let set_block_engine t on =
+  let engine =
+    match (on, t.cfg.engine) with
+    | false, _ -> Step
+    | true, Step -> Superblock
+    | true, e -> e
+  in
+  reconfigure t { t.cfg with engine }
+
+let set_superblocks t on =
+  let engine =
+    match (on, t.cfg.engine) with
+    | _, Step -> Step
+    | true, _ -> Superblock
+    | false, _ -> Block
+  in
+  reconfigure t { t.cfg with engine }
+
+let set_ir t on = reconfigure t { t.cfg with ir = on }
+let set_tiered t on = reconfigure t { t.cfg with tiered = on }
+let set_inline_caches t on = reconfigure t { t.cfg with inline_caches = on }
 
 (* ------------------------------------------------------------------ *)
 (* Tier / inline-cache introspection (profile report, CLI)             *)
@@ -2728,11 +2680,7 @@ let ic_infos t =
    offers a plan to a machine whose guest code bytes hash to the digest the
    plan was stored under. *)
 type plan = {
-  pl_superblocks : bool;
-  pl_ir : bool;
-  pl_tiered : bool;
-  pl_ic_on : bool;
-  pl_icache : bool;
+  pl_config : config;
   pl_insts : (int * Inst.t * int) array;
   pl_blocks : plan_block array;
   pl_heat : (int * int) array;
@@ -2748,7 +2696,6 @@ and plan_block = {
 }
 
 let set_record t on = t.rec_on <- on
-let record t = t.rec_on
 
 let export_plan t =
   let insts =
@@ -2788,11 +2735,7 @@ let export_plan t =
           if targets = [] then acc else (site, targets) :: acc)
       t.cur.ics []
   in
-  { pl_superblocks = t.superblocks;
-    pl_ir = t.ir;
-    pl_tiered = t.tiered;
-    pl_ic_on = t.ic_on;
-    pl_icache = t.icache <> None;
+  { pl_config = t.cfg;
     pl_insts = Array.of_list insts;
     pl_blocks = Array.of_list blocks;
     pl_heat = Array.of_list heat;
@@ -2812,18 +2755,8 @@ let rebuild_block t (pb : plan_block) =
   let sk = pb.pb_skel in
   let cursor = ref 0 in
   let ir_units = ref 0 and tlb_elided = ref 0 in
-  let sb0 = t.superblocks and ir0 = t.ir in
-  if pb.pb_tier <= 1 then t.superblocks <- false;
-  if pb.pb_tier <= 2 then t.ir <- false;
-  t.relayout <- sk.sk_relayout;
+  let sb, optimized = shape t.cfg pb.pb_tier in
   let b =
-    Fun.protect
-      ~finally:(fun () ->
-        t.superblocks <- sb0;
-        t.ir <- ir0;
-        t.relayout <- [])
-    @@ fun () ->
-    let optimized = use_ir t in
     Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
       ~decode:(fun pc ->
         match decode_at t pc with
@@ -2837,7 +2770,8 @@ let rebuild_block t (pb : plan_block) =
         match s with
         | Slower op -> Some op
         | Scompile -> if optimized then None else lower_op t ~pc inst size)
-      ~compile:(fun ~pc inst size -> compile_op t ~pc inst size)
+      ~compile:(fun ~pc inst size ->
+        compile_op t ~sb ~relayout:sk.sk_relayout ~pc inst size)
       ~emit:(if optimized then emit_units ir_units tlb_elided else emit_plain)
       pb.pb_entry
   in
@@ -2847,11 +2781,7 @@ let rebuild_block t (pb : plan_block) =
   b
 
 let seed_plan t (p : plan) =
-  if
-    p.pl_superblocks <> t.superblocks
-    || p.pl_ir <> t.ir || p.pl_tiered <> t.tiered || p.pl_ic_on <> t.ic_on
-    || p.pl_icache <> (t.icache <> None)
-  then Error "flags"
+  if p.pl_config <> t.cfg then Error "flags"
   else begin
     (* Decode-cache prefab. Entries are stamped against the seeding
        machine's current generations: the caller's content-digest check
@@ -2881,7 +2811,7 @@ let seed_plan t (p : plan) =
         if not (Hashtbl.mem t.cur.blocks pc) then
           Hashtbl.replace t.cur.heat pc (ref h))
       p.pl_heat;
-    if t.ic_on then
+    if t.cfg.inline_caches then
       Array.iter
         (fun (site, targets) ->
           let s = ic_for t site in

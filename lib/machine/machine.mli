@@ -19,8 +19,8 @@
     tested for bit-identical stop states (test/test_properties.ml), and
     SMILE recovery depends on it (the fault a partially-executed trampoline
     raises is the key into the fault-handling table). The contract holds
-    with every fast path on or off: the software TLB ({!Memory}) and direct
-    block chaining are caches of successful checks, never of outcomes a
+    under every {!config}: the software TLB ({!Memory}) and direct block
+    chaining are caches of successful checks, never of outcomes a
     permission or code change could have altered. Faults are observable as
     [Fault_raised] events, and the block engine emits
     [Tb_compile]/[Tb_hit]/[Tb_invalidate]/[Tb_chain]; see lib/obs and
@@ -51,8 +51,62 @@ type handlers = {
 val default_handlers : handlers
 (** Halts on every event (faults become [Faulted], etc.). *)
 
-val create : ?vlen:int -> ?costs:Costs.t -> mem:Memory.t -> isa:Ext.t -> unit -> t
-(** [vlen] is the vector register width in bytes (default 32 = 256 bits). *)
+(** {1 Engine configuration}
+
+    How a machine executes is fixed when it is created, by one immutable
+    {!config} value. Every engine retires the same instructions and raises
+    the same faults as the step oracle (the fault determinism contract);
+    the configuration only changes how fast, and which engine counters
+    move. *)
+
+type engine =
+  | Step  (** the single-step interpreter: the reference semantics *)
+  | Block
+      (** translation blocks that end at the first control-flow
+          instruction, direct-chained to their successors *)
+  | Superblock
+      (** blocks that inline direct jumps and forward conditional branches
+          (guarded side exits) and cross pages *)
+
+type config = {
+  engine : engine;
+  ir : bool;
+      (** optimize top-tier straight-line runs (constant propagation,
+          dead-write elimination, memory-pattern fusion) into
+          multi-instruction units; off emits one unit per instruction —
+          the bench's [--no-ir] ablation *)
+  tiered : bool;
+      (** interpret cold code, translate an entry once warm as a
+          straight-line tier-1 block, promote it to a superblock (tier 2)
+          and then IR-optimize it (tier 3) as it gets hotter, and
+          recompile hot blocks whose observed side exits contradict the
+          static layout. Promotion only retranslates, never reinterprets *)
+  inline_caches : bool;
+      (** per-site inline caches on register-indirect jumps: a monomorphic
+          predicted target with a direct block link, a small polymorphic
+          table behind it, and megamorphic sites that stop caching *)
+  icache : (int * int) option;
+      (** [(sets, line bytes)] of an {!Icache} model every fetch checks,
+          misses charging {!Costs.t.icache_miss} cycles; [None] is off.
+          Under the model no block gets the IR passes (per-fetch accounting
+          needs one unit per instruction) *)
+}
+
+val default_config : config
+(** Superblocks with the IR passes; tiering, inline caches and the icache
+    model off. *)
+
+val config_tag : config -> string
+(** A stable rendering of every field, for cache keys: two configurations
+    share a tag exactly when they are equal. *)
+
+val create :
+  ?config:config -> ?vlen:int -> ?costs:Costs.t -> mem:Memory.t -> isa:Ext.t -> unit -> t
+(** [config] defaults to {!default_config}; [vlen] is the vector register
+    width in bytes (default 32 = 256 bits).
+    @raise Invalid_argument if [config] asks for tiering without the
+    superblock engine (a tier-2 promotion would rebuild the tier-1 shape
+    forever), or for inline caches on the step engine. *)
 
 (** {1 State access} *)
 
@@ -98,14 +152,8 @@ val invalidate_code : t -> addr:int -> len:int -> unit
     hits and misses — are kept in per-machine mutables and added to the
     [lib/metrics] registry once per {!run} (see {!section-process}). *)
 
-val enable_icache : ?sets:int -> ?line:int -> t -> unit
-(** Attach an {!Icache} model: every fetch checks it and misses charge
-    {!Costs.t.icache_miss} cycles. Off by default — the headline numbers in
-    EXPERIMENTS.md are produced without it; the ablation harness turns it on
-    to show the microarchitectural side of trampoline overhead. *)
-
 val icache_misses : t -> int
-(** Misses so far (0 when the model is off). *)
+(** Misses of the {!config} icache model so far (0 when it is off). *)
 
 val retired : t -> int
 (** Instructions retired. *)
@@ -125,105 +173,39 @@ val charge : t -> int -> unit
 (** {1 Execution} *)
 
 val run : ?handlers:handlers -> fuel:int -> t -> stop
-(** Execute until a stop event, at most [fuel] instructions.
-
-    By default this uses the translation-block engine: straight-line runs
-    are decoded once into arrays of closures ({!Tblock}) and executed
-    whole between handler-visible events. Counters, faults and handler
-    interactions are observably identical to the single-step path (the
+(** Execute until a stop event, at most [fuel] instructions, on the
+    {!config} engine. The translating engines decode straight-line runs
+    once into arrays of closures ({!Tblock}), execute them whole between
+    handler-visible events, and follow direct links between blocks
+    (guarded by entry-pc and code-epoch checks). Counters, faults and
+    handler interactions are observably identical to the step engine (the
     differential property tests assert this). *)
 
 val step : ?handlers:handlers -> t -> stop option
 (** Execute one instruction; [None] means it retired normally. Always uses
     the single-step path. *)
 
+(** {2 Perfbench setters}
+
+    [perfbench/], the repository benchmark (changed only together with
+    its recorded baseline), pins its engine per machine through these;
+    nothing else should call them — pass a {!config} to {!create}
+    instead. Each one replaces one field of
+    the machine's configuration (validated as in {!create}) and, when that
+    changes it, drops every translated block, heat counter and
+    inline-cache site, so the new configuration only ever runs freshly
+    translated code. *)
+
 val set_block_engine : t -> bool -> unit
-(** Enable/disable the translation-block fast path in {!run} (on by
-    default). The single-step engine is the reference semantics; disabling
-    is meant for differential testing and debugging. *)
-
-val block_engine : t -> bool
-
-val set_block_engine_default : bool -> unit
-(** Engine used by machines created after this call (the bench harness's
-    [--engine] flag sets it before building workloads). *)
-
-val set_block_chaining : t -> bool -> unit
-(** Enable/disable direct block chaining inside the block engine (on by
-    default). When on, a block that completes normally records its
-    successor in a link slot; later transfers along the same edge skip the
-    block-table probe. Links are guarded by entry-pc and code-epoch checks,
-    so chained execution is observably identical to unchained (differential
-    tests assert bit-identical stop states). *)
-
-val block_chaining : t -> bool
+(** [false] selects {!Step}; [true] leaves a translating engine as it is
+    and turns {!Step} into {!Superblock}. *)
 
 val set_superblocks : t -> bool -> unit
-(** Enable/disable superblock formation (on by default): inlined direct
-    jumps and conditional branches with guarded side exits, and cross-page
-    blocks. When off, translation falls back to straight-line blocks that
-    end at the first control-flow instruction — the intermediate engine the
-    differential tests compare against. Only affects blocks translated
-    after the call (cached blocks keep the shape they were compiled with),
-    so flip it before running. *)
-
-val superblocks : t -> bool
-
-val set_superblocks_default : bool -> unit
-(** Superblock setting for machines created after this call (the bench
-    harness's [--engine] flag sets it before building workloads). *)
+(** {!Superblock} or {!Block}; no effect on a {!Step} machine. *)
 
 val set_ir : t -> bool -> unit
-(** Enable/disable the IR optimization passes (on by default). Straight-line
-    instructions are always lowered to {!Tir} and emitted through the same
-    code generator; when on, top-tier runs are first optimized
-    block-locally (constant propagation into folded ops, dead-write
-    elimination, memory-pattern fusion) and emitted as multi-instruction
-    execution units. When off, every instruction becomes its own unit with
-    no passes — the bench's [--no-ir] ablation. Unlike
-    {!set_superblocks}, flipping this drops cached blocks (both settings
-    then see freshly translated code). The icache model skips the passes
-    regardless (per-fetch accounting needs per-instruction units). *)
-
-val ir : t -> bool
-
-val set_ir_default : bool -> unit
-(** IR-pass setting ({!set_ir}) for machines created after this call (the
-    bench harness's [--no-ir] flag clears it before building workloads). *)
-
 val set_tiered : t -> bool -> unit
-(** Enable/disable tiered execution (off by default). When on, cold code is
-    interpreted through the step path and counted per-pc; a pc crossing the
-    warm-up threshold is translated as a straight-line tier-1 block, then
-    promoted superblock (tier 2) and IR-optimized (tier 3) as its hotness
-    counter climbs. Hot blocks whose observed side-exit profile contradicts
-    the static BTFN layout are recompiled with a trace-style layout picked
-    from the exit counts. Flipping the setting drops cached blocks and heat
-    counters (both settings then see freshly translated code). Tier
-    promotion only retranslates — never reinterprets — so the fault
-    determinism contract is untouched: every tier retires the same
-    instructions and raises the same faults as the step oracle. *)
-
-val tiered : t -> bool
-
-val set_tiered_default : bool -> unit
-(** Tiering for machines created after this call (the bench harness's
-    [--no-tier] flag clears it before building workloads). *)
-
 val set_inline_caches : t -> bool -> unit
-(** Enable/disable per-site inline caches for register-indirect jumps
-    ([jalr]/[c.jr]/[c.jalr]; off by default). Each such site gets a cache
-    with a monomorphic fast path — the predicted target pc plus a direct
-    block link, guarded by the code epoch — falling back through a small
-    polymorphic table to the per-view block cache; sites whose table
-    overflows go megamorphic and stop caching. Flipping the setting drops
-    cached blocks and cache sites (terminator closures embed the choice). *)
-
-val inline_caches : t -> bool
-
-val set_inline_caches_default : bool -> unit
-(** Inline-cache setting for machines created after this call (the bench
-    harness's [--no-ic] flag clears it before building workloads). *)
 
 (** {1 Instrumentation} *)
 
@@ -328,14 +310,9 @@ type plan
     instructions, IR ops, pcs, tiers and counters). *)
 
 val set_record : t -> bool -> unit
-(** Enable or disable skeleton recording on this machine. Only translations
-    performed while recording is on are exportable. *)
-
-val record : t -> bool
-
-val set_record_default : bool -> unit
-(** Recording setting for machines created after this call (the bench
-    harness's [--cache] flag and the CLI's [cache prewarm] set it). *)
+(** Enable or disable skeleton recording on this machine (off at
+    creation). Only translations performed while recording is on are
+    exportable. *)
 
 val export_plan : t -> plan
 (** Snapshot the current view's replayable state: valid decode-cache
@@ -348,8 +325,7 @@ val seed_plan : t -> plan -> (int, string) result
     publish every block at its exported tier and heat, seed interpreter
     heat and retrain inline caches. Returns [Ok n] with the number of
     blocks seeded; [Error "flags"] if the plan was exported under a
-    different engine configuration (superblocks / IR / tiering / inline
-    caches / icache) — the caller should fall back cold. A block whose
+    different {!config} — the caller should fall back cold. A block whose
     replay diverges (which the content-digest contract makes unexpected) is
     skipped, not published; execution then translates it on demand. *)
 

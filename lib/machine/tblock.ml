@@ -166,7 +166,7 @@ type 'm t = {
   mutable tier : int;
       (** execution tier this block was translated at: 1 = straight-line
           block, 2 = superblock, 3 = IR-optimized superblock. Untiered
-          machines translate everything at the top tier their flags allow. *)
+          machines translate everything at the top tier their config allows. *)
   mutable relaid : bool;
       (** profile-guided layout already applied: the block was recompiled
           from its observed side-exit profile and must not be recompiled

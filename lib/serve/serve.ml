@@ -120,11 +120,15 @@ let mode_tag = function
   | Chbp.Upgrade -> "up"
   | Chbp.Empty -> "empty"
 
+(* Pinned per machine: request determinism must not depend on how any
+   other subsystem set up its machines. *)
+let engine ~tiered = { Machine.default_config with tiered; inline_caches = tiered }
+
 (* The configuration tag folded into every cache digest: two requests
    share an artifact only when the binary, ISA (already in the digest),
-   rewrite mode and engine tier all agree. *)
+   rewrite mode and engine configuration all agree. *)
 let cfg_tag ~mode ~tiered =
-  Printf.sprintf "serve|%s|%s" (mode_tag mode) (if tiered then "tiered" else "flat")
+  Printf.sprintf "serve|%s|%s" (mode_tag mode) (Machine.config_tag (engine ~tiered))
 
 (* Run one guest on the calling domain: rewrite-or-load, fresh runtime and
    memory view, pinned engine flags, optional plan seed/store against the
@@ -147,14 +151,7 @@ let execute ?cache ~isa ~mode ~tiered ~fuel bin =
             ctx)
   in
   let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
-  (* Pin the engine configuration per machine: request determinism must
-     not depend on process-global defaults some other subsystem set. *)
-  Machine.set_block_engine m true;
-  Machine.set_superblocks m true;
-  Machine.set_ir m true;
-  Machine.set_tiered m tiered;
-  Machine.set_inline_caches m tiered;
+  let m = Machine.create ~config:(engine ~tiered) ~mem:(Chimera_rt.load rt) ~isa () in
   let warm = ref false in
   (match cache with
   | None -> ()

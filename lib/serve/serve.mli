@@ -55,10 +55,16 @@ type tenant_stat = {
   ts_warm : int;  (** requests whose plan came warm from the cache *)
 }
 
+val engine : tiered:bool -> Machine.config
+(** The engine every request runs on: {!Machine.default_config}, with
+    tiering and the jalr inline caches both on when [tiered]. The CLI's
+    [--tiered] flag selects the same configuration. *)
+
 val cfg_tag : mode:Chbp.mode -> tiered:bool -> string
 (** The configuration tag folded into every cache digest this server
     computes: artifacts are shared only between requests agreeing on
-    binary, ISA, rewrite mode and engine tier. *)
+    binary, ISA, rewrite mode and {!engine} configuration
+    ({!Machine.config_tag}). *)
 
 val execute :
   ?cache:Cache.t ->

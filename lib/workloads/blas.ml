@@ -47,18 +47,18 @@ let build kernel variant ~n ~rows =
   if matrix_matrix kernel then Programs.gemm ~name variant ~sew ~n ~rows
   else Programs.gemv ~name ~rows variant ~sew ~n
 
-let measure_chunk kernel ~n ~rows_count =
+let measure_chunk ?config kernel ~n ~rows_count =
   let rows = (0, rows_count) in
   let vec_bin = build kernel `Ext ~n ~rows in
   let scal_bin = build kernel `Base ~n ~rows in
-  let vec = Measure.native vec_bin ~isa:Ext.rv64gcv in
-  let scal = Measure.native scal_bin ~isa:Ext.rv64gc in
+  let vec = Measure.native ?config vec_bin ~isa:Ext.rv64gcv in
+  let scal = Measure.native ?config scal_bin ~isa:Ext.rv64gc in
   if vec.Measure.exit_code <> scal.Measure.exit_code then
     failwith
       (Printf.sprintf "Blas: %s variants disagree (%d vs %d)" (kernel_name kernel)
          vec.Measure.exit_code scal.Measure.exit_code);
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) vec_bin in
-  let chim, _ = Measure.chimera ctx ~isa:Ext.rv64gc in
+  let chim, _ = Measure.chimera ?config ctx ~isa:Ext.rv64gc in
   ignore (Measure.check_exit ~expected:vec.Measure.exit_code chim);
   { cc_vec = vec.Measure.cycles;
     cc_scal = scal.Measure.cycles;
@@ -69,7 +69,7 @@ let blocks_per_thread = 6
 
 let seq_run_all fs = List.iter (fun f -> f ()) fs
 
-let prepare ?(n = 48) ?(run_all = seq_run_all) kernel ~threads =
+let prepare ?config ?(n = 48) ?(run_all = seq_run_all) kernel ~threads =
   let rows =
     List.concat_map
       (fun t -> chunk_sizes ~n ~threads:(blocks_per_thread * t))
@@ -81,7 +81,7 @@ let prepare ?(n = 48) ?(run_all = seq_run_all) kernel ~threads =
   let measured = List.map (fun r -> (r, ref None)) rows in
   run_all
     (List.map
-       (fun (r, slot) -> fun () -> slot := Some (measure_chunk kernel ~n ~rows_count:r))
+       (fun (r, slot) -> fun () -> slot := Some (measure_chunk ?config kernel ~n ~rows_count:r))
        measured);
   let costs = Hashtbl.create 8 in
   List.iter (fun (r, slot) -> Hashtbl.replace costs r (Option.get !slot)) measured;

@@ -30,6 +30,7 @@ val systems : system list
 type setup
 
 val prepare :
+  ?config:Machine.config ->
   ?n:int ->
   ?run_all:((unit -> unit) list -> unit) ->
   kernel ->
@@ -39,7 +40,8 @@ val prepare :
     the given thread counts need; [n] is the matrix dimension (default 48).
     Exit codes of all variants are cross-checked. [run_all] executes the
     independent per-chunk-size measurement thunks (default: sequentially);
-    the bench driver passes a domain-pool runner. *)
+    the bench driver passes a domain-pool runner. Every run uses the
+    engine [config]. *)
 
 val latency : setup -> system -> threads:int -> int
 (** Simulated end-to-end latency (chunk makespan + barrier). *)

@@ -15,9 +15,9 @@ let snapshot m ~exit_code =
 
 let default_fuel = 50_000_000
 
-let native ?(fuel = default_fuel) ?before_run ?after_run bin ~isa =
+let native ?config ?(fuel = default_fuel) ?before_run ?after_run bin ~isa =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa () in
+  let m = Machine.create ?config ~mem ~isa () in
   Loader.init_machine m bin;
   (match before_run with Some f -> f m | None -> ());
   match Machine.run ~fuel m with
@@ -28,9 +28,9 @@ let native ?(fuel = default_fuel) ?before_run ?after_run bin ~isa =
       failwith (Printf.sprintf "%s: %s" bin.Binfile.name (Fault.to_string f))
   | Machine.Fuel_exhausted -> failwith (bin.Binfile.name ^ ": fuel exhausted")
 
-let native_until_fault ?(fuel = default_fuel) bin ~isa =
+let native_until_fault ?config ?(fuel = default_fuel) bin ~isa =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa () in
+  let m = Machine.create ?config ~mem ~isa () in
   Loader.init_machine m bin;
   match Machine.run ~fuel m with
   | Machine.Faulted _ -> snapshot m ~exit_code:(-1)
@@ -41,9 +41,9 @@ let native_until_fault ?(fuel = default_fuel) bin ~isa =
    loading but before execution (seed a persisted translation plan) and
    after a successful run (export one) without this library knowing about
    the cache. *)
-let chimera ?(fuel = default_fuel) ?before_run ?after_run ctx ~isa =
+let chimera ?config ?(fuel = default_fuel) ?before_run ?after_run ctx ~isa =
   let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
+  let m = Machine.create ?config ~mem:(Chimera_rt.load rt) ~isa () in
   (match before_run with Some f -> f m | None -> ());
   match Chimera_rt.run rt ~fuel m with
   | Machine.Exited code ->
@@ -55,10 +55,10 @@ let chimera ?(fuel = default_fuel) ?before_run ?after_run ctx ~isa =
            (Chimera_rt.rewritten rt).Binfile.name (Fault.to_string f))
   | Machine.Fuel_exhausted -> failwith "chimera run: fuel exhausted"
 
-let safer ?(fuel = default_fuel) ?before_run ?after_run rw ~isa =
+let safer ?config ?(fuel = default_fuel) ?before_run ?after_run rw ~isa =
   let rt = Safer.runtime rw in
   let isa = Ext.union isa (Ext.of_list [ Ext.X ]) in
-  let m = Machine.create ~mem:(Safer.load rt) ~isa () in
+  let m = Machine.create ?config ~mem:(Safer.load rt) ~isa () in
   (match before_run with Some f -> f m | None -> ());
   match Safer.run rt ~fuel m with
   | Machine.Exited code ->
@@ -68,9 +68,9 @@ let safer ?(fuel = default_fuel) ?before_run ?after_run rw ~isa =
       failwith (Printf.sprintf "safer run: %s" (Fault.to_string f))
   | Machine.Fuel_exhausted -> failwith "safer run: fuel exhausted"
 
-let armore ?(fuel = default_fuel) ?before_run ?after_run rw ~isa =
+let armore ?config ?(fuel = default_fuel) ?before_run ?after_run rw ~isa =
   let rt = Armore.runtime rw in
-  let m = Machine.create ~mem:(Armore.load rt) ~isa () in
+  let m = Machine.create ?config ~mem:(Armore.load rt) ~isa () in
   (match before_run with Some f -> f m | None -> ());
   match Armore.run rt ~fuel m with
   | Machine.Exited code ->

@@ -4,6 +4,9 @@
     executing the binary (original, rewritten, or regenerated) on the
     simulated machine and reading its cycle counter. *)
 
+(** Every runner takes the engine [config] its machine is created with
+    (default {!Machine.default_config}). *)
+
 type run = {
   cycles : int;
   exit_code : int;
@@ -13,6 +16,7 @@ type run = {
 }
 
 val native :
+  ?config:Machine.config ->
   ?fuel:int ->
   ?before_run:(Machine.t -> unit) ->
   ?after_run:(Machine.t -> unit) ->
@@ -21,7 +25,8 @@ val native :
   run
 (** Run to completion. @raise Failure on fault or fuel exhaustion. *)
 
-val native_until_fault : ?fuel:int -> Binfile.t -> isa:Ext.t -> run
+val native_until_fault :
+  ?config:Machine.config -> ?fuel:int -> Binfile.t -> isa:Ext.t -> run
 (** Run until the first fault (the FAM migration prefix); [exit_code] is -1.
     @raise Failure if the program completes without faulting. *)
 
@@ -31,6 +36,7 @@ val native_until_fault : ?fuel:int -> Binfile.t -> isa:Ext.t -> run
     on {!native}, {!safer} and {!armore} so every measured engine cell can
     participate in the translation cache. *)
 val chimera :
+  ?config:Machine.config ->
   ?fuel:int ->
   ?before_run:(Machine.t -> unit) ->
   ?after_run:(Machine.t -> unit) ->
@@ -38,6 +44,7 @@ val chimera :
   isa:Ext.t ->
   run * Counters.t
 val safer :
+  ?config:Machine.config ->
   ?fuel:int ->
   ?before_run:(Machine.t -> unit) ->
   ?after_run:(Machine.t -> unit) ->
@@ -46,6 +53,7 @@ val safer :
   run * Counters.t
 
 val armore :
+  ?config:Machine.config ->
   ?fuel:int ->
   ?before_run:(Machine.t -> unit) ->
   ?after_run:(Machine.t -> unit) ->

@@ -27,7 +27,7 @@ let ext_isa = Ext.rv64gcv
 
 let seq_run_all fs = List.iter (fun f -> f ()) fs
 
-let costs ?(mm_n = 16) ?(fib_rounds = 0) ?(run_all = seq_run_all) () =
+let costs ?config ?(mm_n = 16) ?(fib_rounds = 0) ?(run_all = seq_run_all) () =
   let mm_ext = Programs.matmul ~name:"mm-ext" `Ext ~n:mm_n in
   let mm_base = Programs.matmul ~name:"mm-base" `Base ~n:mm_n in
   (* two batches of independent measurements: the second depends on the
@@ -35,8 +35,8 @@ let costs ?(mm_n = 16) ?(fib_rounds = 0) ?(run_all = seq_run_all) () =
      batch out across domains (every thunk builds its own machine). *)
   let vec = ref None and scal = ref None in
   run_all
-    [ (fun () -> vec := Some (Measure.native mm_ext ~isa:ext_isa));
-      (fun () -> scal := Some (Measure.native mm_base ~isa:base_isa)) ];
+    [ (fun () -> vec := Some (Measure.native ?config mm_ext ~isa:ext_isa));
+      (fun () -> scal := Some (Measure.native ?config mm_base ~isa:base_isa)) ];
   let vec = Option.get !vec and scal = Option.get !scal in
   let expected = vec.Measure.exit_code in
   if scal.Measure.exit_code <> expected then
@@ -51,29 +51,29 @@ let costs ?(mm_n = 16) ?(fib_rounds = 0) ?(run_all = seq_run_all) () =
   let chim_down = ref 0 and chim_up = ref 0 in
   let safer_down = ref 0 and safer_up = ref 0 in
   run_all
-    [ (fun () -> fib := (Measure.native fib_bin ~isa:base_isa).Measure.cycles);
+    [ (fun () -> fib := (Measure.native ?config fib_bin ~isa:base_isa).Measure.cycles);
       (fun () ->
-        fam_prefix := (Measure.native_until_fault mm_ext ~isa:base_isa).Measure.cycles);
+        fam_prefix := (Measure.native_until_fault ?config mm_ext ~isa:base_isa).Measure.cycles);
       (fun () ->
         let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) mm_ext in
-        let run, _ = Measure.chimera ctx ~isa:base_isa in
+        let run, _ = Measure.chimera ?config ctx ~isa:base_isa in
         ignore (Measure.check_exit ~expected run);
         chim_down := run.Measure.cycles);
       (fun () ->
         let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Upgrade) mm_base in
-        let run, _ = Measure.chimera ctx ~isa:ext_isa in
+        let run, _ = Measure.chimera ?config ctx ~isa:ext_isa in
         ignore (Measure.check_exit ~expected run);
         if (Chbp.stats ctx).Chbp.sites = 0 then
           failwith "mixgen: upgrade found no vectorizable loop";
         chim_up := run.Measure.cycles);
       (fun () ->
         let rw = Safer.rewrite ~mode:Chbp.Downgrade mm_ext in
-        let run, _ = Measure.safer rw ~isa:base_isa in
+        let run, _ = Measure.safer ?config rw ~isa:base_isa in
         ignore (Measure.check_exit ~expected run);
         safer_down := run.Measure.cycles);
       (fun () ->
         let rw = Safer.rewrite ~mode:Chbp.Upgrade mm_base in
-        let run, _ = Measure.safer rw ~isa:ext_isa in
+        let run, _ = Measure.safer ?config rw ~isa:ext_isa in
         ignore (Measure.check_exit ~expected run);
         safer_up := run.Measure.cycles) ];
   { fib = !fib;

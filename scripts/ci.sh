@@ -67,6 +67,38 @@ if [ "$retired_super" != "$retired_step" ] || [ "$retired_block" != "$retired_st
 fi
 echo "ci: tiered/untiered/no-ic/no-ir/block/step engines agree over [$engine_exps]"
 
+# Ablation reach: each run's engine configuration is passed explicitly to
+# every machine it creates, and equal retired counts would not notice a
+# path that silently fell back to the default engine. So every engine row
+# (a row carrying tb_dispatches) of each run must show its flag's effect:
+# check_rows FILE LABEL COND, COND an awk expression over the row's
+# numeric fields f["name"].
+check_rows() {
+  rows=$(grep '"tb_dispatches"' "$1")
+  test -n "$rows"
+  echo "$rows" | awk -v what="$2" -v cond="$3" '
+    { delete f
+      line = $0
+      while (match(line, /"[a-z_0-9]+": [0-9.]+/)) {
+        split(substr(line, RSTART, RLENGTH), kv, /": /)
+        f[substr(kv[1], 2)] = kv[2] + 0
+        line = substr(line, RSTART + RLENGTH)
+      }
+      match($0, /"name": "[^"]*"/)
+      name = substr($0, RSTART + 9, RLENGTH - 10)
+      if (!('"$3"')) {
+        printf "ci: %s did not reach row %s (need %s)\n", what, name, cond > "/dev/stderr"
+        bad = 1
+      } }
+    END { exit bad }'
+}
+check_rows "$json_step" "--engine step" 'f["tb_dispatches"] == 0'
+check_rows "$json_block" "--engine block" 'f["side_exit_rate"] == 0 && f["tb_dispatches"] > 0'
+check_rows "$json_noir" "--no-ir" 'f["ir_units"] == 0'
+check_rows "$json_untiered" "--no-tier --no-ic" 'f["tier_promotions"] == 0 && f["ic_hits"] == 0'
+check_rows "$json_super" "the default engine" 'f["tier_promotions"] > 0'
+echo "ci: every ablation flag reached every engine row"
+
 # Allocation gate: fig13's minor words per retired instruction in the -j 1
 # tiered run (the calling domain's allocation over the row's window) must
 # stay within the driver's budget, max_minor_words_per_inst in

@@ -106,19 +106,15 @@ let cache_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let engine_setup mode m =
-  match mode with
-  | `Step -> Machine.set_block_engine m false
-  | `Block -> Machine.set_superblocks m false
-  | `Super -> ()
-  | `No_ir -> Machine.set_ir m false
-  | `Tiered ->
-      Machine.set_tiered m true;
-      Machine.set_inline_caches m true
-  | `Tiered_icache ->
-      Machine.set_tiered m true;
-      Machine.set_inline_caches m true;
-      Machine.enable_icache ~sets:4 ~line:16 m
+let tiered = { Machine.default_config with tiered = true; inline_caches = true }
+
+let config_of = function
+  | `Step -> { Machine.default_config with engine = Machine.Step }
+  | `Block -> { Machine.default_config with engine = Machine.Block }
+  | `Super -> Machine.default_config
+  | `No_ir -> { Machine.default_config with ir = false }
+  | `Tiered -> tiered
+  | `Tiered_icache -> { tiered with icache = Some (4, 16) }
 
 let mode_name = function
   | `Step -> "step"
@@ -130,6 +126,13 @@ let mode_name = function
 
 (* fresh per-test cache directory under the system temp dir, removed at
    exit so manual runs outside the dune sandbox don't litter the cwd *)
+let machine_with bin config =
+  let mem = Loader.load bin in
+  let m = Machine.create ~config ~mem ~isa:base_isa () in
+  Loader.init_machine m bin;
+  Machine.set_record m true;
+  m
+
 let temp_cache =
   let n = ref 0 in
   let created = ref [] in
@@ -152,13 +155,7 @@ let temp_cache =
     created := dir :: !created;
     Cache.open_dir dir
 
-let machine_for bin mode =
-  let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  engine_setup mode m;
-  Loader.init_machine m bin;
-  Machine.set_record m true;
-  m
+let machine_for bin mode = machine_with bin (config_of mode)
 
 (* --- cold/warm property ------------------------------------------------- *)
 
@@ -245,6 +242,48 @@ let test_smc_unreachable () =
     (Printf.sprintf "cold { %s } = recompiled { %s }" (pp_snap cold)
        (pp_snap again))
     true (cold = again)
+
+(* --- configuration mismatch ---------------------------------------------- *)
+
+(* A plan carries the configuration it was exported under and only seeds a
+   machine with exactly that configuration: for every field, a plan made
+   under A is refused by a machine that differs from A in that field alone
+   (the caller then runs cold), and still seeds a fresh machine under A,
+   which retires exactly what the exporting run retired. *)
+let test_config_mismatch () =
+  let bin, _ = cache_program (Random.State.make [| 7 |]) in
+  let c = temp_cache () in
+  let d = Machine.default_config in
+  List.iter
+    (fun (field, a, b) ->
+      let extra = "mismatch-" ^ field in
+      let cold =
+        let m = machine_with bin a in
+        let stop = Machine.run ~fuel:5_000_000 m in
+        Cache.store_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra) m;
+        snapshot m stop
+      in
+      let seed config =
+        let m = machine_with bin config in
+        (m, Cache.seed_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra) m)
+      in
+      (match seed b with
+      | _, Error "flags" -> ()
+      | _, Error r -> Alcotest.failf "%s: expected a config refusal, got %s" field r
+      | _, Ok n -> Alcotest.failf "%s: plan seeded %d blocks into another config" field n);
+      match seed a with
+      | m, Ok n when n > 0 ->
+          let warm = snapshot m (Machine.run ~fuel:5_000_000 m) in
+          if cold <> warm then
+            Alcotest.failf "%s: cold { %s } <> warm { %s }" field (pp_snap cold)
+              (pp_snap warm)
+      | _, Ok _ -> Alcotest.failf "%s: plan seeded no blocks under its own config" field
+      | _, Error r -> Alcotest.failf "%s: plan refused under its own config (%s)" field r)
+    [ ("engine", d, { d with engine = Machine.Block });
+      ("ir", d, { d with ir = false });
+      ("tiered", d, { d with tiered = true });
+      ("inline_caches", d, { d with inline_caches = true });
+      ("icache", d, { d with icache = Some (4, 16) }) ]
 
 (* --- corruption tolerance ----------------------------------------------- *)
 
@@ -380,6 +419,9 @@ let () =
       ( "smc",
         [ Alcotest.test_case "stale plans unreachable after SMC" `Quick
             test_smc_unreachable ] );
+      ( "config",
+        [ Alcotest.test_case "plans seed only under their own config" `Quick
+            test_config_mismatch ] );
       ( "corruption",
         [ Alcotest.test_case "every damage mode falls back cold" `Quick
             test_corruption_falls_back_cold;

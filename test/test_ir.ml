@@ -193,8 +193,8 @@ let alloc_loop () =
 let test_steady_state_allocation () =
   let bin = alloc_loop () in
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  Machine.set_tiered m true;
+  let config = { Machine.default_config with tiered = true } in
+  let m = Machine.create ~config ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   (* warm up: promotion to the top tier and chain formation *)
   ignore (Machine.run ~fuel:100_000 m);

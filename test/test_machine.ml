@@ -7,7 +7,7 @@ let data_base = 0x40000
 
 (* Assemble a list of instructions at [text_base], map a data page, and
    return a machine ready to run. *)
-let setup ?(isa = Ext.all) insts =
+let setup ?config ?(isa = Ext.all) insts =
   let mem = Memory.create () in
   Memory.map mem ~addr:text_base ~len:4096 Memory.perm_rx;
   Memory.map mem ~addr:data_base ~len:4096 Memory.perm_rw;
@@ -21,7 +21,7 @@ let setup ?(isa = Ext.all) insts =
       done;
       addr := !addr + n)
     insts;
-  let m = Machine.create ~mem ~isa () in
+  let m = Machine.create ?config ~mem ~isa () in
   Machine.set_pc m text_base;
   m
 
@@ -765,8 +765,8 @@ let test_icache_loop_locality () =
       Inst.Opi (Inst.Addi, Reg.t0, Reg.t0, -1);
       Inst.Branch (Inst.Bne, Reg.t0, Reg.x0, -4) ]
   in
-  let m = setup (body @ exit_with_a0) in
-  Machine.enable_icache m;
+  let config = { Machine.default_config with icache = Some Icache.default_geometry } in
+  let m = setup ~config (body @ exit_with_a0) in
   (match Machine.run ~fuel:10_000 m with
   | Machine.Exited _ -> ()
   | _ -> Alcotest.fail "loop failed");
@@ -792,10 +792,10 @@ let test_icache_thrash_charges_cycles () =
   emit (text_base + 12) (Inst.Opi (Inst.Addi, Reg.a7, Reg.x0, 93));
   emit (text_base + 16) Inst.Ecall;
   emit (text_base + 0x8000) (Inst.Jal (Reg.x0, -0x8000));
-  let m = Machine.create ~mem ~isa:Ext.rv64gc () in
+  let config = { Machine.default_config with icache = Some (1, 64) } in
+  let m = Machine.create ~config ~mem ~isa:Ext.rv64gc () in
   Machine.set_pc m text_base;
   Machine.set_reg m Reg.t0 64L;
-  Machine.enable_icache ~sets:1 ~line:64 m;
   (match Machine.run ~fuel:10_000 m with
   | Machine.Exited _ -> ()
   | _ -> Alcotest.fail "thrash run failed");

@@ -174,9 +174,8 @@ let guest_machines () =
   List.map
     (fun bin ->
       let mem = Loader.load bin in
-      let m = Machine.create ~mem ~isa:Ext.rv64gcv () in
-      Machine.set_tiered m true;
-      Machine.set_inline_caches m true;
+      let config = { Machine.default_config with tiered = true; inline_caches = true } in
+      let m = Machine.create ~config ~mem ~isa:Ext.rv64gcv () in
       Loader.init_machine m bin;
       m)
     [ Programs.matmul ~name:"j-mm" `Ext ~n:16;

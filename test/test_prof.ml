@@ -96,15 +96,18 @@ let pp_totals t =
 (* Run the CHBP-downgraded binary under the runtime with a profiler attached:
    lazy rewriting patches code mid-run (invalidate_code severs cached blocks
    and chain links under the profiler's feet). *)
-let profile_chimera ~engine ?(chain = true) seed =
+let engine_config engine = { Machine.default_config with engine }
+
+let profile_chimera ~engine seed =
   let bin = Specgen.build (fuzz_profile seed) in
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
   let rt = Chimera_rt.create ctx in
   let p = Profile.create () in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
+  let m =
+    Machine.create ~config:(engine_config engine) ~mem:(Chimera_rt.load rt)
+      ~isa:base_isa ()
+  in
   Machine.set_profile m (Some p);
-  Machine.set_block_engine m engine;
-  Machine.set_block_chaining m chain;
   ignore (Chimera_rt.run rt ~fuel:50_000_000 m);
   (Machine.retired m, Profile.snapshot p)
 
@@ -114,12 +117,9 @@ let prop_engine_equivalence =
     ~count:8
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
-      let sret, ssnaps = profile_chimera ~engine:false seed in
-      let bret, bsnaps = profile_chimera ~engine:true seed in
-      let uret, usnaps = profile_chimera ~engine:true ~chain:false seed in
-      let st = totals_of ssnaps
-      and bt = totals_of bsnaps
-      and ut = totals_of usnaps in
+      let sret, ssnaps = profile_chimera ~engine:Machine.Step seed in
+      let bret, bsnaps = profile_chimera ~engine:Machine.Superblock seed in
+      let st = totals_of ssnaps and bt = totals_of bsnaps in
       if st.t_retired <> sret then
         QCheck.Test.fail_reportf "seed %d: step profiler %d <> machine %d" seed
           st.t_retired sret
@@ -129,10 +129,7 @@ let prop_engine_equivalence =
       else if st <> bt then
         QCheck.Test.fail_reportf "seed %d: step { %s } <> block { %s }" seed
           (pp_totals st) (pp_totals bt)
-      else if st <> ut then
-        QCheck.Test.fail_reportf "seed %d: step { %s } <> unchained { %s }" seed
-          (pp_totals st) (pp_totals ut)
-      else (uret : int) = sret)
+      else (bret : int) = sret)
 
 (* --- warm-TLB permission downgrade -------------------------------------------- *)
 
@@ -166,8 +163,7 @@ let string_of_stop = function
 let profile_downgrade ~engine () =
   let bin = downgrade_program () in
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  Machine.set_block_engine m engine;
+  let m = Machine.create ~config:(engine_config engine) ~mem ~isa:base_isa () in
   let p = Profile.create () in
   Machine.set_profile m (Some p);
   Loader.init_machine m bin;
@@ -189,8 +185,8 @@ let profile_downgrade ~engine () =
   (Machine.retired m, Profile.snapshot p)
 
 let test_warm_tlb_downgrade () =
-  let sret, ssnaps = profile_downgrade ~engine:false () in
-  let bret, bsnaps = profile_downgrade ~engine:true () in
+  let sret, ssnaps = profile_downgrade ~engine:Machine.Step () in
+  let bret, bsnaps = profile_downgrade ~engine:Machine.Superblock () in
   let st = totals_of ssnaps and bt = totals_of bsnaps in
   Alcotest.(check int) "machines retired equally" sret bret;
   Alcotest.(check int) "step profiler exact" sret st.t_retired;

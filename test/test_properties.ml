@@ -618,13 +618,15 @@ let check_snaps ~what step block =
       (pp_snap step) (pp_snap block)
   else true
 
-let run_native ~engine ?(chain = true) ?(super = true) ~icache ~fuel bin isa =
+let engine_config engine = { Machine.default_config with engine }
+
+let run_native ~engine ~icache ~fuel bin isa =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa () in
-  Machine.set_block_engine m engine;
-  Machine.set_block_chaining m chain;
-  Machine.set_superblocks m super;
-  if icache then Machine.enable_icache m;
+  let config =
+    { (engine_config engine) with
+      icache = (if icache then Some Icache.default_geometry else None) }
+  in
+  let m = Machine.create ~config ~mem ~isa () in
   Loader.init_machine m bin;
   snapshot m (Machine.run ~fuel m)
 
@@ -642,12 +644,10 @@ let prop_block_engine_native =
     (fun (seed, fuel, icache) ->
       let bin = Specgen.build (fuzz_profile seed) in
       let what = Printf.sprintf "native seed=%d fuel=%d" seed fuel in
-      let step = run_native ~engine:false ~icache ~fuel bin ext_isa in
-      let plain = run_native ~engine:true ~super:false ~icache ~fuel bin ext_isa in
-      let unchained = run_native ~engine:true ~chain:false ~icache ~fuel bin ext_isa in
-      let chained = run_native ~engine:true ~icache ~fuel bin ext_isa in
+      let step = run_native ~engine:Machine.Step ~icache ~fuel bin ext_isa in
+      let plain = run_native ~engine:Machine.Block ~icache ~fuel bin ext_isa in
+      let chained = run_native ~engine:Machine.Superblock ~icache ~fuel bin ext_isa in
       check_snaps ~what:(what ^ " (straight-line)") step plain
-      && check_snaps ~what:(what ^ " (unchained)") step unchained
       && check_snaps ~what:(what ^ " (chained)") step chained)
 
 (* Lazy rewriting: the runtime patches code on the first fault at each site,
@@ -655,14 +655,14 @@ let prop_block_engine_native =
    up to the fault) already covers. The patched bytes must be picked up —
    including through direct chain links, which are severed by the code-epoch
    bump the patch performs. *)
-let run_chimera ~engine ?(chain = true) ?(super = true) seed =
+let run_chimera ~engine seed =
   let bin = Specgen.build (fuzz_profile seed) in
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
   let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
-  Machine.set_block_engine m engine;
-  Machine.set_block_chaining m chain;
-  Machine.set_superblocks m super;
+  let m =
+    Machine.create ~config:(engine_config engine) ~mem:(Chimera_rt.load rt)
+      ~isa:base_isa ()
+  in
   snapshot m (Chimera_rt.run rt ~fuel:50_000_000 m)
 
 (* --- IR translation pipeline differential ------------------------------------ *)
@@ -767,12 +767,14 @@ let ir_program rng =
 
 let run_ir_phases mode bin ~patch_addr ~f1 ~f2 =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  (match mode with
-  | `Step -> Machine.set_block_engine m false
-  | `Block -> Machine.set_superblocks m false
-  | `Super -> ()
-  | `Super_noir -> Machine.set_ir m false);
+  let config =
+    match mode with
+    | `Step -> engine_config Machine.Step
+    | `Block -> engine_config Machine.Block
+    | `Super -> Machine.default_config
+    | `Super_noir -> { Machine.default_config with ir = false }
+  in
+  let m = Machine.create ~config ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
   (* SMC: flip the xori's immediate under a cached, already-executed block;
@@ -927,14 +929,14 @@ let unmapped_addr = 0x3F00_0000_0000
 
 let run_edge_phases mode bin ~f1 ~f2 ~f3 =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  (match mode with
-  | `Step -> Machine.set_block_engine m false
-  | `Block -> Machine.set_superblocks m false
-  | `Super -> ()
-  | `Tiered ->
-      Machine.set_tiered m true;
-      Machine.set_inline_caches m true);
+  let config =
+    match mode with
+    | `Step -> engine_config Machine.Step
+    | `Block -> engine_config Machine.Block
+    | `Super -> Machine.default_config
+    | `Tiered -> { Machine.default_config with tiered = true; inline_caches = true }
+  in
+  let m = Machine.create ~config ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
   let p = Int64.to_int (Machine.get_reg m Reg.s3) in
@@ -985,12 +987,10 @@ let prop_block_engine_self_modifying =
     ~count:8
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
-      let step = run_chimera ~engine:false seed in
-      let plain = run_chimera ~engine:true ~super:false seed in
-      let unchained = run_chimera ~engine:true ~chain:false seed in
-      let chained = run_chimera ~engine:true seed in
+      let step = run_chimera ~engine:Machine.Step seed in
+      let plain = run_chimera ~engine:Machine.Block seed in
+      let chained = run_chimera ~engine:Machine.Superblock seed in
       check_snaps ~what:(Printf.sprintf "chimera seed=%d (straight-line)" seed) step plain
-      && check_snaps ~what:(Printf.sprintf "chimera seed=%d (unchained)" seed) step unchained
       && check_snaps ~what:(Printf.sprintf "chimera seed=%d (chained)" seed) step chained)
 
 let () =

@@ -13,9 +13,13 @@
    - a golden test pinning the inline-cache state machine: one call site
      driven through one, then three, then nine distinct targets must be
      observed Mono, then Poly, then Mega — the same site pc across all three
-     checkpoints. *)
+     checkpoints;
+
+   - construction-time rejection of the configurations tiering and inline
+     caches cannot honour. *)
 
 let base_isa = Ext.rv64gc
+let tiered = { Machine.default_config with tiered = true; inline_caches = true }
 
 type snap = {
   sn_stop : Machine.stop;
@@ -119,17 +123,20 @@ let tier_program rng =
 
 let run_tier_phases mode bin ~icache ~patch_addr ~f1 ~f2 =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  (* a tiny direct-mapped icache thrashes on this loop, so the miss count
-     pins the exact fetch sequence, not just the set of lines touched *)
-  if icache then Machine.enable_icache ~sets:4 ~line:16 m;
-  (match mode with
-  | `Step -> Machine.set_block_engine m false
-  | `Super -> ()
-  | `Tiered ->
-      Machine.set_tiered m true;
-      Machine.set_inline_caches m true
-  | `Tiered_noic -> Machine.set_tiered m true);
+  let c = Machine.default_config in
+  let config =
+    { (match mode with
+      | `Step -> { c with engine = Machine.Step }
+      | `Super -> c
+      | `Tiered -> tiered
+      | `Tiered_noic -> { c with tiered = true })
+      with
+      (* a tiny direct-mapped icache thrashes on this loop, so the miss
+         count pins the exact fetch sequence, not just the set of lines
+         touched *)
+      icache = (if icache then Some (4, 16) else None) }
+  in
+  let m = Machine.create ~config ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
   (* SMC: flip the xori's immediate under cached (and, tiered, hot) blocks;
@@ -251,9 +258,7 @@ let test_ic_transitions () =
   let rounds = 2_000 in
   let bin = ic_stages_bin ~rounds in
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  Machine.set_tiered m true;
-  Machine.set_inline_caches m true;
+  let m = Machine.create ~config:tiered ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   (* each stage retires well over 20k instructions (>= 10 per round), so a
      checkpoint 20k into a stage is past its warm-up but inside it *)
@@ -325,9 +330,7 @@ let test_ic_transitions () =
 let test_tier_promotion_visible () =
   let bin = Programs.branchy ~rounds:20_000 () in
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:Ext.rv64gcv () in
-  Machine.set_tiered m true;
-  Machine.set_inline_caches m true;
+  let m = Machine.create ~config:tiered ~mem ~isa:Ext.rv64gcv () in
   Loader.init_machine m bin;
   (match Machine.run ~fuel:2_000_000 m with
   | Machine.Exited _ -> ()
@@ -338,6 +341,17 @@ let test_tier_promotion_visible () =
   Alcotest.(check bool) "a hot block was relaid from its exit profile" true
     (List.exists (fun b -> b.Machine.bi_relaid) infos)
 
+(* Tiering promotes block -> superblock -> IR: without superblock formation
+   a tier-2 request would rebuild the tier-1 shape and promote again every
+   32 dispatches, forever. The step engine translates nothing, so tiering
+   or inline caches there would be silently ignored. All three are refused
+   when the machine is created. *)
+let rejects what config () =
+  let mem = Memory.create () in
+  match Machine.create ~config ~mem ~isa:base_isa () with
+  | _ -> Alcotest.failf "%s: configuration accepted" what
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "chimera_tiering"
     [ ("differential", [ QCheck_alcotest.to_alcotest prop_tier_differential ]);
@@ -346,4 +360,13 @@ let () =
            test_ic_transitions ]);
       ("promotion",
        [ Alcotest.test_case "tier promotion and relayout observable" `Quick
-           test_tier_promotion_visible ]) ]
+           test_tier_promotion_visible ]);
+      ("config",
+       [ Alcotest.test_case "tiering on the block engine rejected" `Quick
+           (rejects "block+tier" { tiered with engine = Machine.Block; inline_caches = false });
+         Alcotest.test_case "tiering on the step engine rejected" `Quick
+           (rejects "step+tier" { tiered with engine = Machine.Step; inline_caches = false });
+         Alcotest.test_case "inline caches on the step engine rejected" `Quick
+           (rejects "step+ic"
+              { Machine.default_config with engine = Machine.Step; inline_caches = true })
+       ]) ]
