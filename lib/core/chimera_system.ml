@@ -3,7 +3,7 @@ type prepared = Native | Rewritten of Chimera_rt.t
 type t = {
   orig : Binfile.t;
   costs : Costs.t;
-  config : Machine.config option;
+  config : Machine.config;
   per_class : (Ext.t * prepared) list;
 }
 
@@ -24,7 +24,8 @@ let prepare ~costs ~upgrade bin cls =
     let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
     Rewritten (Chimera_rt.create ~costs ctx)
 
-let deploy ?(costs = Costs.default) ?config ?(upgrade = true) bin ~cores =
+let deploy ?(costs = Costs.default) ?(config = Machine.default_config) ?(upgrade = true)
+    bin ~cores =
   let classes = List.sort_uniq compare cores in
   { orig = bin;
     costs;
@@ -32,6 +33,8 @@ let deploy ?(costs = Costs.default) ?config ?(upgrade = true) bin ~cores =
     per_class = List.map (fun c -> (c, prepare ~costs ~upgrade bin c)) classes }
 
 let original t = t.orig
+let costs t = t.costs
+let config t = t.config
 let classes t = List.map fst t.per_class
 
 let prepared_for t cls =
@@ -48,12 +51,12 @@ let run t ~isa ~fuel =
   match prepared_for t isa with
   | Native ->
       let mem = Loader.load t.orig in
-      let m = Machine.create ?config:t.config ~costs:t.costs ~mem ~isa () in
+      let m = Machine.create ~config:t.config ~costs:t.costs ~mem ~isa () in
       Loader.init_machine m t.orig;
       (Machine.run ~fuel m, m)
   | Rewritten rt ->
       let m =
-        Machine.create ?config:t.config ~costs:t.costs ~mem:(Chimera_rt.load rt) ~isa ()
+        Machine.create ~config:t.config ~costs:t.costs ~mem:(Chimera_rt.load rt) ~isa ()
       in
       (Chimera_rt.run rt ~fuel m, m)
 

@@ -24,11 +24,14 @@ type prepared =
 val deploy :
   ?costs:Costs.t -> ?config:Machine.config -> ?upgrade:bool -> Binfile.t -> cores:Ext.t list -> t
 (** Prepare the binary for every core class. [config] is the engine every
-    {!run} creates its hart with (default {!Machine.default_config}).
+    {!run} and {!Mmview.create} creates its hart with (default
+    {!Machine.default_config}).
     [upgrade] (default true) vectorizes recognizable loops for classes with
     extensions the binary does not use. *)
 
 val original : t -> Binfile.t
+val costs : t -> Costs.t
+val config : t -> Machine.config
 val classes : t -> Ext.t list
 val prepared_for : t -> Ext.t -> prepared
 (** @raise Not_found if the class was not in [cores]. *)

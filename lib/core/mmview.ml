@@ -27,7 +27,7 @@ let shared_sections (bin : Binfile.t) =
       s.Binfile.sec_perm.Memory.w && s.Binfile.sec_name <> ".chimera.vregs")
     bin.Binfile.sections
 
-let build_view ~costs ~share_from dep cls =
+let build_view ~share_from dep cls =
   let bin = Chimera_system.binary_for dep cls in
   let handlers =
     match Chimera_system.prepared_for dep cls with
@@ -63,7 +63,6 @@ let build_view ~costs ~share_from dep cls =
       Memory.share_range ~from:first_mem ~into:mem
         ~addr:(Layout.stack_top - Layout.stack_size)
         ~len:Layout.stack_size);
-  ignore costs;
   { v_class = cls;
     v_mem = mem;
     v_bin = bin;
@@ -76,21 +75,17 @@ let build_view ~costs ~share_from dep cls =
           else None)
         bin.Binfile.sections }
 
-let create ?(costs = Costs.default) ?config dep =
+let create dep =
   match Chimera_system.classes dep with
   | [] -> invalid_arg "Mmview.create: no core classes"
   | first :: rest ->
-      let v0 = build_view ~costs ~share_from:None dep first in
-      let views =
-        v0
-        :: List.map
-             (fun cls ->
-               build_view ~costs
-                 ~share_from:(Some (v0.v_mem, v0.v_bin))
-                 dep cls)
-             rest
+      let v0 = build_view ~share_from:None dep first in
+      let share_from = Some (v0.v_mem, v0.v_bin) in
+      let views = v0 :: List.map (build_view ~share_from dep) rest in
+      let m =
+        Machine.create ~config:(Chimera_system.config dep)
+          ~costs:(Chimera_system.costs dep) ~mem:v0.v_mem ~isa:first ()
       in
-      let m = Machine.create ?config ~costs ~mem:v0.v_mem ~isa:first () in
       { dep; views; m; cur = v0; migrations = 0 }
 
 let machine t = t.m

@@ -20,10 +20,10 @@
 
 type t
 
-val create : ?costs:Costs.t -> ?config:Machine.config -> Chimera_system.t -> t
-(** Build one view per deployed class, executed by one hart with the given
-    engine [config] (default {!Machine.default_config}). Data sections (and
-    the stack) of the first view are aliased into the others. *)
+val create : Chimera_system.t -> t
+(** Build one view per deployed class, executed by one hart with the
+    deployment's engine config and cost model. Data sections (and the
+    stack) of the first view are aliased into the others. *)
 
 val machine : t -> Machine.t
 val current_class : t -> Ext.t

@@ -16,7 +16,7 @@ let burst_threshold = 8
 
 let default_geometry = (512, 64)
 
-let create ?(sets = fst default_geometry) ?(line = snd default_geometry) () =
+let create ~sets ~line =
   if not (pow2 sets && pow2 line) then
     invalid_arg "Icache.create: sets and line must be powers of two";
   { sets; line; tags = Array.make sets (-1); misses = 0; accesses = 0;

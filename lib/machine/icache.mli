@@ -13,9 +13,8 @@ val default_geometry : int * int
 (** [(sets, line bytes)] = 512 sets of one 64-byte line (32 KiB), roughly
     an in-order core's L1i. *)
 
-val create : ?sets:int -> ?line:int -> unit -> t
-(** [sets] and [line] (default {!default_geometry}) must be powers of
-    two. *)
+val create : sets:int -> line:int -> t
+(** [sets] and [line] must be powers of two. *)
 
 val access : t -> int -> bool
 (** [access t addr] is [true] on a hit; a miss fills the line. When tracing

@@ -280,7 +280,7 @@ let config_tag c =
     c.ir c.tiered c.inline_caches
     (match c.icache with None -> "off" | Some (sets, line) -> Printf.sprintf "%dx%d" sets line)
 
-let icache_model = Option.map (fun (sets, line) -> Icache.create ~sets ~line ())
+let icache_model = Option.map (fun (sets, line) -> Icache.create ~sets ~line)
 
 (* Tier thresholds. Heat is counted per interpreted instruction at an
    untranslated entry; hot is counted per dispatch of a translated block.
@@ -2596,22 +2596,10 @@ let reconfigure t c =
   end
 
 let set_block_engine t on =
-  let engine =
-    match (on, t.cfg.engine) with
-    | false, _ -> Step
-    | true, Step -> Superblock
-    | true, e -> e
-  in
-  reconfigure t { t.cfg with engine }
+  reconfigure t { t.cfg with engine = (if on then Superblock else Step) }
 
 let set_superblocks t on =
-  let engine =
-    match (on, t.cfg.engine) with
-    | _, Step -> Step
-    | true, _ -> Superblock
-    | false, _ -> Block
-  in
-  reconfigure t { t.cfg with engine }
+  reconfigure t { t.cfg with engine = (if on then Superblock else Block) }
 
 let set_ir t on = reconfigure t { t.cfg with ir = on }
 let set_tiered t on = reconfigure t { t.cfg with tiered = on }

@@ -197,11 +197,10 @@ val step : ?handlers:handlers -> t -> stop option
     translated code. *)
 
 val set_block_engine : t -> bool -> unit
-(** [false] selects {!Step}; [true] leaves a translating engine as it is
-    and turns {!Step} into {!Superblock}. *)
+(** {!Superblock} or {!Step}. *)
 
 val set_superblocks : t -> bool -> unit
-(** {!Superblock} or {!Block}; no effect on a {!Step} machine. *)
+(** {!Superblock} or {!Block}. *)
 
 val set_ir : t -> bool -> unit
 val set_tiered : t -> bool -> unit

@@ -747,7 +747,7 @@ let test_vector_strided_scatter () =
 (* --- instruction-cache model --------------------------------------------- *)
 
 let test_icache_unit () =
-  let ic = Icache.create ~sets:4 ~line:16 () in
+  let ic = Icache.create ~sets:4 ~line:16 in
   Alcotest.(check bool) "cold miss" false (Icache.access ic 0x1000);
   Alcotest.(check bool) "hit same line" true (Icache.access ic 0x100c);
   (* 4 sets x 16B lines: 0x1000 and 0x1040 conflict on set 0 *)

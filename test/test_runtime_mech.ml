@@ -208,6 +208,27 @@ let test_mmview_code_differs_per_view () =
   Alcotest.(check bool) "patched differently" true
     (Memory.peek_u32 ext_mem site.Disasm.addr <> Memory.peek_u32 base_mem site.Disasm.addr)
 
+let test_mmview_uses_deployment_config () =
+  (* the hart behind the views runs the engine the deployment was made
+     with: a step deployment dispatches no translated block *)
+  let dispatches config =
+    let dep =
+      Chimera_system.deploy ~config (Programs.vecadd `Ext ~n:8)
+        ~cores:[ ext_isa; base_isa ]
+    in
+    let pv = Mmview.create dep in
+    Mmview.start pv ~on:ext_isa;
+    let before = snd (Machine.observed_chain ()) in
+    (match Mmview.run pv ~fuel:1_000_000 with
+    | Machine.Exited _ -> ()
+    | _ -> Alcotest.fail "ext view run failed");
+    snd (Machine.observed_chain ()) - before
+  in
+  Alcotest.(check int) "step: no block dispatches" 0
+    (dispatches { Machine.default_config with engine = Machine.Step });
+  Alcotest.(check bool) "superblock: block dispatches" true
+    (dispatches Machine.default_config > 0)
+
 let test_mmview_migration_mid_task () =
   (* run the first half on the extension core, migrate, finish on base;
      the result must match a pure run *)
@@ -302,6 +323,7 @@ let () =
       ("mmview",
        [ Alcotest.test_case "shared data pages" `Quick test_mmview_shared_data;
          Alcotest.test_case "per-view code" `Quick test_mmview_code_differs_per_view;
+         Alcotest.test_case "deployment config" `Quick test_mmview_uses_deployment_config;
          Alcotest.test_case "migration mid-task" `Quick test_mmview_migration_mid_task;
          Alcotest.test_case "vector state transfers" `Quick
            test_mmview_vector_state_transfers;
