@@ -186,7 +186,8 @@ type stat = {
                         silent) *)
   st_prof_retired : int;  (* profiler's retired total; -1 when not profiling *)
   st_minor_words : float;  (* minor words this domain allocated over the
-                             row's wall window (worker domains excluded) *)
+                             row's measured window (worker domains
+                             excluded): micro's deterministic tail only *)
   st_extra : int;  (* instructions retired before micro's measured window
                       (its Bechamel-timed section) *)
   st_cache : cache_row option;  (* cold/warm cache comparison (--cache) *)
@@ -294,7 +295,7 @@ let write_json ?overhead file (stats : stat list) =
           (if !Par.jobs > 1 then ""
            else
              Printf.sprintf ", \"minor_words_per_inst\": %.4f"
-               (s.st_minor_words /. float_of_int (max 1 (retired s + s.st_extra))))
+               (s.st_minor_words /. float_of_int (max 1 (retired s))))
           ^
           (* the regress gate treats absent fields as "nothing to say" *)
           match translate with
@@ -960,10 +961,11 @@ let ablation cfg quick =
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Set by [micro] where its deterministic tail starts: the stats collector
-   reports engine counters from this snapshot on, and what retired before
-   it as [retired_extra]. Cleared per experiment. *)
-let tail_from : Metrics.Snapshot.t option ref = ref None
+(* Set by [micro] where its deterministic tail starts, with the domain's
+   minor words at that point: the stats collector reports engine counters
+   and allocation from there on, and what retired before it as
+   [retired_extra]. Cleared per experiment. *)
+let tail_from : (Metrics.Snapshot.t * float) option ref = ref None
 
 let micro cfg _quick =
   Report.heading "Micro-benchmarks (Bechamel, monotonic clock)";
@@ -1085,7 +1087,7 @@ let micro cfg _quick =
      compares them across super/block/step). The Bechamel-section retires
      are reported as retired_extra rather than dropped, so the JSON row's
      MIPS covers everything this experiment actually executed. *)
-  tail_from := Some (Metrics.Snapshot.take ());
+  tail_from := Some (Metrics.Snapshot.take (), Gc.minor_words ());
   let det bin =
     let mem = Loader.load bin in
     let m = Machine.create ~config:cfg ~mem ~isa:ext_isa () in
@@ -1484,7 +1486,7 @@ let max_minor_words_per_inst = 3.5
 let check_gc_budget stats =
   let words, retired =
     List.fold_left
-      (fun (w, r) s -> (w +. s.st_minor_words, r + retired s + s.st_extra))
+      (fun (w, r) s -> (w +. s.st_minor_words, r + retired s))
       (0., 0) stats
   in
   if retired > 50_000_000 then begin
@@ -1613,7 +1615,8 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
         let mw0 = Gc.minor_words () in
         traced_phase n (fun () -> (List.assoc n experiments) cfg quick);
         let wall = ref (Unix.gettimeofday () -. w0) in
-        let words = ref (Gc.minor_words () -. mw0) in
+        let mw_end = ref (Gc.minor_words ()) in
+        let words = ref (!mw_end -. mw0) in
         (* Under --cache, a cached experiment runs a second, warm pass
            against the directory the first pass just populated. The
            reported row is the warm pass; the cold pass survives in the
@@ -1631,7 +1634,8 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
           let mw1 = Gc.minor_words () in
           traced_phase (n ^ "/warm") (fun () -> (List.assoc n experiments) cfg quick);
           wall := Unix.gettimeofday () -. w1;
-          words := Gc.minor_words () -. mw1;
+          mw_end := Gc.minor_words ();
+          words := !mw_end -. mw1;
           let warm = Metrics.Snapshot.counter_value (Metrics.Snapshot.take ()) in
           let warm_retired = warm "chimera_retired_total" in
           if warm_retired <> cold_retired then begin
@@ -1655,7 +1659,8 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
         let eng, extra =
           match !tail_from with
           | None -> (whole, 0)
-          | Some t ->
+          | Some (t, tail_words) ->
+              words := !mw_end -. tail_words;
               ( Metrics.Snapshot.delta ~cur:whole ~prev:t,
                 Metrics.Snapshot.counter_value t "chimera_retired_total" )
         in

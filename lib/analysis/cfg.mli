@@ -26,6 +26,16 @@ val of_disasm : Disasm.t -> t
 val blocks : t -> block list
 (** Ascending by address. *)
 
+val count : t -> int
+(** Number of blocks. *)
+
+val nth : t -> int -> block
+(** [nth t k] is the [k]-th block of {!blocks}, [0 <= k < count t]. *)
+
+val index_containing : t -> int -> int
+(** Index of the block containing the instruction at the address, or [-1]
+    if no instruction starts there. *)
+
 val block_at : t -> int -> block option
 (** Block starting exactly at the address. *)
 

@@ -5,7 +5,16 @@
     of IDA Pro (§4.1), the result is *correct but not complete*: code
     reachable only through indirect jumps (jump tables, function pointers)
     with no symbol is not discovered. Chimera recovers such instructions
-    lazily at runtime when they fault. *)
+    lazily at runtime when they fault.
+
+    The result is the set of instructions reachable from the roots; the
+    order in which they are discovered does not affect it. An instruction
+    starts at an even address inside a code section and lies wholly inside
+    that section: bytes that fail either rule are undecodable, like illegal
+    encodings. Each code section is indexed densely by halfword, so memory
+    is proportional to the code bytes, not to the address span between
+    sections. Every call analyzes its binary afresh; nothing is cached
+    across calls. *)
 
 type insn = { addr : int; inst : Inst.t; size : int }
 
@@ -33,6 +42,13 @@ val of_binfile_at : Binfile.t -> roots:int list -> t
 
 val find : t -> int -> insn option
 (** The instruction starting at an address, if discovered. *)
+
+val ordinal : t -> int -> int
+(** The index of the instruction starting at an address in {!to_list}
+    order, or [-1] if none was discovered there. *)
+
+val nth : t -> int -> insn
+(** [nth t k] is the instruction of ordinal [k], [0 <= k < count t]. *)
 
 val is_covered : t -> int -> bool
 (** Whether the address falls inside any discovered instruction. *)

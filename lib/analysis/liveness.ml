@@ -1,4 +1,5 @@
-type t = { cfg : Cfg.t; live_out : (int, Regmask.t) Hashtbl.t }
+(* [live_out] is indexed like [Cfg.nth]. *)
+type t = { cfg : Cfg.t; live_out : Regmask.t array }
 
 let insn_uses (i : Disasm.insn) =
   match Disasm.flow_of i with
@@ -28,9 +29,6 @@ let abi_return_live =
 (* Transfer of one instruction: live_in = uses ∪ (live_out \ defs). *)
 let transfer i live = Regmask.union (insn_uses i) (Regmask.diff live (insn_defs i))
 
-let block_transfer (b : Cfg.block) live_out =
-  List.fold_left (fun live i -> transfer i live) live_out (List.rev b.Cfg.b_insns)
-
 let initial_live_out (b : Cfg.block) =
   List.fold_left
     (fun acc s ->
@@ -40,85 +38,95 @@ let initial_live_out (b : Cfg.block) =
       | Cfg.Sblock _ -> acc)
     Regmask.empty b.Cfg.b_succs
 
+(* A block's transfer is live_in = gen ∪ (live_out \ kill): [gen] holds
+   the registers read before any write in the block, [kill] every register
+   it writes. *)
+let rec summarize gen kill k = function
+  | [] -> ()
+  | i :: rest ->
+      gen.(k) <- Regmask.union gen.(k) (Regmask.diff (insn_uses i) kill.(k));
+      kill.(k) <- Regmask.union kill.(k) (insn_defs i);
+      summarize gen kill k rest
+
 let compute cfg =
-  let blocks = Cfg.blocks cfg in
-  let live_out = Hashtbl.create (List.length blocks * 2) in
-  let live_in = Hashtbl.create (List.length blocks * 2) in
-  List.iter
-    (fun (b : Cfg.block) ->
-      Hashtbl.replace live_out b.Cfg.b_addr (initial_live_out b);
-      Hashtbl.replace live_in b.Cfg.b_addr Regmask.empty)
-    blocks;
-  let get tbl a = Option.value ~default:Regmask.empty (Hashtbl.find_opt tbl a) in
-  (* Backward worklist fixpoint. *)
-  let work = Queue.create () in
-  let queued = Hashtbl.create 1024 in
-  let enqueue a =
-    if not (Hashtbl.mem queued a) then begin
-      Hashtbl.replace queued a ();
-      Queue.add a work
+  let n = Cfg.count cfg in
+  let gen = Array.make n Regmask.empty and kill = Array.make n Regmask.empty in
+  let init = Array.make n Regmask.empty in
+  for k = 0 to n - 1 do
+    let b = Cfg.nth cfg k in
+    summarize gen kill k b.Cfg.b_insns;
+    init.(k) <- initial_live_out b
+  done;
+  let live_out = Array.make n Regmask.empty and live_in = Array.make n Regmask.empty in
+  (* Backward worklist fixpoint over a ring of block indices; a block is
+     queued at most once at a time, so [n] slots suffice. *)
+  let ring = Array.make (max n 1) 0 and head = ref 0 and len = ref 0 in
+  let queued = Bytes.make n '\000' in
+  let enqueue k =
+    if Bytes.get queued k = '\000' then begin
+      Bytes.set queued k '\001';
+      ring.((!head + !len) mod n) <- k;
+      incr len
     end
   in
-  List.iter (fun (b : Cfg.block) -> enqueue b.Cfg.b_addr) (List.rev blocks);
-  while not (Queue.is_empty work) do
-    let a = Queue.pop work in
-    Hashtbl.remove queued a;
-    match Cfg.block_at cfg a with
-    | None -> ()
-    | Some b ->
-        let out =
-          List.fold_left
-            (fun acc s ->
-              match s with
-              | Cfg.Sunknown -> Regmask.all
-              | Cfg.Sreturn -> Regmask.union acc abi_return_live
-              | Cfg.Sblock s' -> Regmask.union acc (get live_in s'))
-            (initial_live_out b) b.Cfg.b_succs
-        in
-        Hashtbl.replace live_out a out;
-        let inn = block_transfer b out in
-        if inn <> get live_in a then begin
-          Hashtbl.replace live_in a inn;
-          List.iter enqueue (Cfg.preds cfg a)
-        end
+  for k = n - 1 downto 0 do enqueue k done;
+  while !len > 0 do
+    let k = ring.(!head) in
+    head := (!head + 1) mod n;
+    decr len;
+    Bytes.set queued k '\000';
+    let b = Cfg.nth cfg k in
+    let out =
+      List.fold_left
+        (fun acc s ->
+          match s with
+          | Cfg.Sblock a -> Regmask.union acc live_in.(Cfg.index_containing cfg a)
+          | Cfg.Sunknown | Cfg.Sreturn -> acc)
+        init.(k) b.Cfg.b_succs
+    in
+    live_out.(k) <- out;
+    let inn = Regmask.union gen.(k) (Regmask.diff out kill.(k)) in
+    if inn <> live_in.(k) then begin
+      live_in.(k) <- inn;
+      List.iter (fun a -> enqueue (Cfg.index_containing cfg a)) (Cfg.preds cfg b.Cfg.b_addr)
+    end
   done;
   { cfg; live_out }
 
 let live_out t addr =
-  match Hashtbl.find_opt t.live_out addr with
-  | Some m -> m
-  | None -> raise Not_found
+  match Cfg.index_containing t.cfg addr with
+  | k when k >= 0 && (Cfg.nth t.cfg k).Cfg.b_addr = addr -> t.live_out.(k)
+  | _ -> raise Not_found
 
 let live_in_at t addr =
-  match Cfg.block_containing t.cfg addr with
-  | None -> None
-  | Some b ->
-      let out = Option.value ~default:Regmask.all (Hashtbl.find_opt t.live_out b.Cfg.b_addr) in
-      (* walk backward from the block end to the queried instruction *)
-      let rec backward insns live =
-        match insns with
+  match Cfg.index_containing t.cfg addr with
+  | -1 -> None
+  | k ->
+      (* fold backward from the block end to the queried instruction *)
+      let rec from = function
         | [] -> None
-        | (i : Disasm.insn) :: rest ->
-            let live' = transfer i live in
-            if i.addr = addr then Some live' else backward rest live'
+        | (i : Disasm.insn) :: rest as insns ->
+            if i.addr = addr then Some (List.fold_right transfer insns t.live_out.(k))
+            else from rest
       in
-      backward (List.rev b.Cfg.b_insns) out
+      from (Cfg.nth t.cfg k).Cfg.b_insns
 
 let never_clobber = Regmask.of_list [ Reg.x0; Reg.sp; Reg.gp; Reg.tp ]
+let scratch_order = Reg.temporaries @ [ Reg.ra; Reg.a7; Reg.a6; Reg.a5; Reg.a4 ]
+
+let all_scratch =
+  scratch_order @ [ Reg.a3; Reg.a2; Reg.a1; Reg.a0; Reg.s11; Reg.s10; Reg.s9; Reg.s8 ]
 
 let dead_regs_at t ?(avoid = []) addr =
   match live_in_at t addr with
   | None -> []
   | Some live ->
       let banned = Regmask.union never_clobber (Regmask.union live (Regmask.of_list avoid)) in
-      List.filter (fun r -> not (Regmask.mem r banned))
-        (Reg.temporaries @ [ Reg.ra; Reg.a7; Reg.a6; Reg.a5; Reg.a4; Reg.a3; Reg.a2;
-                             Reg.a1; Reg.a0; Reg.s11; Reg.s10; Reg.s9; Reg.s8 ])
+      List.filter (fun r -> not (Regmask.mem r banned)) all_scratch
 
 let dead_at t ?(avoid = []) addr =
   match live_in_at t addr with
   | None -> None
   | Some live ->
       let banned = Regmask.union never_clobber (Regmask.union live (Regmask.of_list avoid)) in
-      let candidates = Reg.temporaries @ [ Reg.ra; Reg.a7; Reg.a6; Reg.a5; Reg.a4 ] in
-      List.find_opt (fun r -> not (Regmask.mem r banned)) candidates
+      List.find_opt (fun r -> not (Regmask.mem r banned)) scratch_order

@@ -15,6 +15,8 @@
 type t
 
 val compute : Cfg.t -> t
+(** Backward worklist fixpoint over per-block gen/kill summaries, each
+    computed once from the block's instructions. *)
 
 val live_out : t -> int -> Regmask.t
 (** Live-out mask of the block starting at the address.
